@@ -1,19 +1,21 @@
-"""Bench the vectorized batched-tableau backend against the serial stabilizer.
+"""Bench the stabilizer engine's batch paths.
 
 Two workloads:
 
 * **Analytic session batches** — the paper-default session shape (one
   two-qubit message-transfer circuit per session, Pauli + readout noise)
-  submitted as batches of 1/64/1024 sessions.  Counts must stay bit-identical
-  to a serial loop under the same seed, and the batched path must amortize
-  below 1 ms per session at batch ≥ 64.  Both paths share the analytic
-  distribution cache, so the recorded speedup here reflects plan reuse, not
-  the tableau engine.
+  submitted as batches of 1/64/1024 sessions.  ``run_batch`` counts must
+  stay bit-identical to a loop of ``run`` calls under the same seed, and the
+  batch must amortize below 1 ms per session at batch ≥ 64.  Both share the
+  structure-keyed plan cache, so the recorded speedup reflects per-call
+  overhead, not the tableau engine.
 * **Trajectory shot batches** — a reset-bearing circuit forced onto the
-  per-shot trajectory path, where the batch axis is the shot count and the
-  engine's whole-batch gate/noise updates replace the serial per-shot Python
-  loop.  This is the genuinely vectorized regime: the gate asserts a ≥ 5×
-  win at 1024 shots (measured ≈ 100×, so timing noise cannot flake it).
+  trajectory path, where the batch axis is the shot count and whole-batch
+  gate/noise updates on the packed tableau replace the per-shot Python loop
+  of the test suite's reference sampler
+  (``tests/quantum/reference_trajectories.py``).  This is the genuinely
+  vectorized regime: the gate asserts a ≥ 5× win over that reference at
+  1024 shots (measured ≈ 100×, so timing noise cannot flake it).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.quantum.channels import depolarizing_channel, pauli_channel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.stabilizer import StabilizerSimulator
-from repro.quantum.tableau_batch import BatchedStabilizerSimulator
+from tests.quantum.reference_trajectories import reference_trajectory_counts
 
 SHOTS = 1024
 MESSAGES = ("00", "01", "10", "11")
@@ -69,7 +71,7 @@ def _serial_counts(model, circuits, seed):
 
 
 def _batched_counts(model, circuits, seed):
-    simulator = BatchedStabilizerSimulator(noise_model=model)
+    simulator = StabilizerSimulator(noise_model=model)
     batch = simulator.run_batch(circuits, shots=SHOTS, rng=np.random.default_rng(seed))
     return [result.counts for result in batch.results]
 
@@ -89,8 +91,8 @@ def test_bench_batched_analytic_session_batches(benchmark, record):
         batched = _batched_counts(model, circuits, seed)
         batched_seconds = time.perf_counter() - start
 
-        # One multinomial per circuit in submission order on both paths:
-        # equal seeds mean bit-identical histograms at every batch size.
+        # One multinomial per circuit in submission order either way: equal
+        # seeds mean bit-identical histograms at every batch size.
         assert batched == serial
 
         timings[batch_size] = (serial_seconds, batched_seconds)
@@ -121,17 +123,13 @@ def test_bench_batched_trajectory_shot_batches(benchmark, record):
     model = _pauli_model()
     timings = {}
     for shots in (1, 64, 1024):
-        serial = StabilizerSimulator(noise_model=model)
         start = time.perf_counter()
-        serial_result = serial.run(
-            _reset_circuit(),
-            shots=shots,
-            rng=np.random.default_rng(5),
-            method="trajectory",
+        serial_counts = reference_trajectory_counts(
+            _reset_circuit(), model, shots, np.random.default_rng(5)
         )
         serial_seconds = time.perf_counter() - start
 
-        batched = BatchedStabilizerSimulator(noise_model=model)
+        batched = StabilizerSimulator(noise_model=model)
         start = time.perf_counter()
         batched_result = batched.run(
             _reset_circuit(),
@@ -141,12 +139,12 @@ def test_bench_batched_trajectory_shot_batches(benchmark, record):
         )
         batched_seconds = time.perf_counter() - start
 
-        assert serial_result.shots == batched_result.shots == shots
+        assert sum(serial_counts.values()) == batched_result.shots == shots
         assert batched_result.metadata["stabilizer_mode"] == "trajectory"
         timings[shots] = (serial_seconds, batched_seconds)
 
-    # Perf gate: the whole-batch tableau updates must beat the serial
-    # per-shot loop by ≥ 5× at 1024 shots (measured ≈ 100×).
+    # Perf gate: the whole-batch tableau updates must beat the per-shot
+    # reference loop by ≥ 5× at 1024 shots (measured ≈ 100×).
     speedup_1024 = timings[1024][0] / timings[1024][1]
     assert speedup_1024 >= 5.0, (
         f"batched trajectory speedup regressed to {speedup_1024:.1f}x "
@@ -158,7 +156,7 @@ def test_bench_batched_trajectory_shot_batches(benchmark, record):
     )
 
     def _trajectory_run():
-        return BatchedStabilizerSimulator(noise_model=model).run(
+        return StabilizerSimulator(noise_model=model).run(
             _reset_circuit(),
             shots=1024,
             rng=np.random.default_rng(5),

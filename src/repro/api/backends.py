@@ -207,19 +207,11 @@ class NetworkBackend:
         self, jobs: Sequence[FragmentJob], config: Any
     ) -> list[FragmentDelivery]:
         from repro.network.scheduler import NetworkScheduler
-        from repro.network.sessions import SessionParameters, SessionRequest
+        from repro.network.sessions import SessionRequest
 
         if not jobs:
             return []
         source, target = self._endpoints(config)
-        # The service-level simulator_backend applies to every hop unless the
-        # caller supplied an explicit fleet-wide SessionParameters (which then
-        # owns the per-hop engine choice).
-        session_params = config.session_params
-        if session_params is None:
-            session_params = SessionParameters(
-                simulator_backend=config.simulator_backend
-            )
         requests = [
             SessionRequest(
                 session_id=position,
@@ -236,7 +228,7 @@ class NetworkBackend:
         scheduler = NetworkScheduler(
             config.topology,
             routing_policy=config.routing_policy,
-            session_params=session_params,
+            session_params=config.session_params,
             max_wait=config.max_wait,
             seed=derive_seed(jobs[0].seed, stream="network"),
             executor=config.executor,

@@ -81,16 +81,10 @@ class ServiceConfig:
         it (None = fresh entropy per send).
     channel, distribution_channel, identity_pairs, check_pairs_per_round,
     num_check_bits, authentication_tolerance, check_bit_tolerance,
-    memory_decoherence, memory_hold_time, alice_identity, bob_identity,
-    simulator_backend:
+    memory_decoherence, memory_hold_time, alice_identity, bob_identity:
         Per-fragment protocol parameters, mapped one-to-one onto
         :class:`~repro.protocol.config.ProtocolConfig` (``num_check_bits``
-        None = the ``ProtocolConfig.default`` quarter-length rule;
-        ``simulator_backend`` selects the pair-state engine — ``"auto"``
-        fast paths, ``"dense"`` reference, ``"stabilizer"`` statically
-        verified Pauli physics).  On the network backend it applies to
-        every hop unless an explicit ``session_params`` is supplied, which
-        then owns the per-hop engine choice.
+        None = the ``ProtocolConfig.default`` quarter-length rule).
     attack_factory:
         Optional ``(fragment_index, attempt, rng) -> attack | None`` hook for
         security studies through the facade (local/batch backends; network
@@ -133,7 +127,6 @@ class ServiceConfig:
     memory_hold_time: float = 0.0
     alice_identity: "Identity | None" = None
     bob_identity: "Identity | None" = None
-    simulator_backend: str = "auto"
     attack_factory: "Callable[[int, int, Any], Any] | None" = None
     scenario: Any = None
     # -- execution ---------------------------------------------------------------
@@ -249,9 +242,6 @@ class ServiceConfig:
         """A copy with a declarative adversarial scenario (None = honest)."""
         return replace(self, scenario=scenario)
 
-    def with_simulator_backend(self, simulator_backend: str) -> "ServiceConfig":
-        return replace(self, simulator_backend=simulator_backend)
-
     def with_executor(
         self, executor: str, max_workers: "int | None" = None
     ) -> "ServiceConfig":
@@ -349,7 +339,6 @@ class ServiceConfig:
             alice_identity=self.alice_identity,
             bob_identity=self.bob_identity,
             seed=seed,
-            simulator_backend=self.simulator_backend,
             scenario=self.scenario,
         )
 
@@ -376,5 +365,4 @@ class ServiceConfig:
             "identity_pairs": self.identity_pairs,
             "check_pairs_per_round": self.check_pairs_per_round,
             "executor": self.executor,
-            "simulator_backend": self.simulator_backend,
         }

@@ -156,12 +156,10 @@ class DepolarizingChannel(QuantumChannel):
 
     ``ρ → (1 − p) ρ + p/3 (XρX + YρY + ZρZ)``.  Unlike
     :class:`IdentityChainChannel` (whose thermal-relaxation component is not
-    a Pauli map), this channel is a stochastic Pauli mixture, so protocol
-    sessions over it are *stabilizer-eligible*: the dispatch layer
-    (:mod:`repro.quantum.dispatch`) certifies the session physics as
-    Bell-diagonal and ``simulator_backend="stabilizer"`` validates.  The
-    security-analysis experiment (``fig_security``) uses it as its default
-    link so the scenario grid sweeps on the fast path.
+    a Pauli map), this channel is a stochastic Pauli mixture
+    (:func:`repro.quantum.dispatch.channel_is_pauli` holds), so pair states
+    sent over it stay Bell-diagonal.  The security-analysis experiment
+    (``fig_security``) uses it as its default link.
 
     Parameters
     ----------

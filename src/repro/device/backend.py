@@ -8,18 +8,14 @@ an exact (but still sampled) execution, which is what the paper calls the
 "ideal simulation".
 
 Backend selection: the ``simulator_backend`` knob (``"auto"``, ``"dense"``,
-``"stabilizer"``, ``"stabilizer_batched"``) is resolved per circuit batch by
+``"stabilizer"``) is resolved per circuit batch by
 :func:`repro.quantum.dispatch.select_backend`.  ``auto`` routes
 Clifford-only circuits whose applicable noise is Pauli-diagonal to the
 :class:`~repro.quantum.stabilizer.StabilizerSimulator` — same counts
 contract, polynomial cost — and everything else (including the default
 ``ibm_brisbane`` model, whose thermal relaxation is not a Pauli channel) to
-the dense density-matrix path.  Whole-batch submissions
-(:meth:`NoisyBackend.run_batch`) on that same eligible class resolve to the
-vectorized :class:`~repro.quantum.tableau_batch.BatchedStabilizerSimulator`,
-which amortises per-circuit work across the batch while keeping counts
-bit-identical.  The resolved backend and the dispatch reason are recorded
-in every :class:`BackendJob`'s metadata.
+the dense density-matrix path.  The resolved backend and the dispatch
+reason are recorded in every :class:`BackendJob`'s metadata.
 """
 
 from __future__ import annotations
@@ -62,10 +58,9 @@ class NoisyBackend:
     seed:
         Seed or generator for all sampling performed by this backend.
     simulator_backend:
-        ``"auto"`` (default: stabilizer fast path when provably exact —
-        vectorized-batched on ``run_batch`` — dense otherwise), ``"dense"``
-        (always the density-matrix simulator), ``"stabilizer"`` or
-        ``"stabilizer_batched"`` (forced; raise on ineligible circuits).
+        ``"auto"`` (default: stabilizer fast path when provably exact,
+        dense otherwise), ``"dense"`` (always the density-matrix simulator)
+        or ``"stabilizer"`` (forced; raises on ineligible circuits).
     cache:
         Optional shared :class:`~repro.quantum.batch.PropagatorCache` for the
         dense simulator.  Sweeps that create one backend per point (for
@@ -102,7 +97,6 @@ class NoisyBackend:
             cache=cache,
         )
         self._stabilizer: StabilizerSimulator | None = None
-        self._batched_stabilizer = None
         self.jobs: list[BackendJob] = []
 
     def _stabilizer_simulator(self) -> StabilizerSimulator:
@@ -112,26 +106,8 @@ class NoisyBackend:
             )
         return self._stabilizer
 
-    def _batched_stabilizer_simulator(self):
-        if self._batched_stabilizer is None:
-            from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
-            # Wraps (and shares the analytic-distribution cache of) the
-            # serial stabilizer engine, so serial and batched submissions
-            # reuse each other's resolved circuit structures.
-            self._batched_stabilizer = BatchedStabilizerSimulator(
-                serial=self._stabilizer_simulator(), seed=self._rng
-            )
-        return self._batched_stabilizer
-
-    def _dispatch(
-        self,
-        circuits: "QuantumCircuit | Sequence[QuantumCircuit]",
-        batch: bool = False,
-    ):
-        return select_backend(
-            self.simulator_backend, circuits, self._effective_noise, batch=batch
-        )
+    def _dispatch(self, circuits: "QuantumCircuit | Sequence[QuantumCircuit]"):
+        return select_backend(self.simulator_backend, circuits, self._effective_noise)
 
     # -- queries -----------------------------------------------------------------
     @property
@@ -159,11 +135,7 @@ class NoisyBackend:
         """
         self._validate(circuit)
         decision = self._dispatch(circuit)
-        if decision.backend == "stabilizer_batched":
-            result = self._batched_stabilizer_simulator().run(
-                circuit, shots=shots, rng=self._rng
-            )
-        elif decision.use_stabilizer:
+        if decision.use_stabilizer:
             result = self._stabilizer_simulator().run(
                 circuit, shots=shots, rng=self._rng
             )
@@ -208,12 +180,8 @@ class NoisyBackend:
         """
         for circuit in circuits:
             self._validate(circuit)
-        decision = self._dispatch(circuits, batch=True)
-        if decision.backend == "stabilizer_batched":
-            batch = self._batched_stabilizer_simulator().run_batch(
-                circuits, shots=shots, rng=self._rng
-            )
-        elif decision.use_stabilizer:
+        decision = self._dispatch(circuits)
+        if decision.use_stabilizer:
             batch = self._stabilizer_simulator().run_batch(
                 circuits, shots=shots, rng=self._rng
             )

@@ -21,11 +21,11 @@ engine enables:
 * the configured DI-round size is annotated with **finite-sample CHSH
   confidence bounds** (:func:`repro.analysis.security.chsh_epsilon`).
 
-The default link is the Pauli :class:`~repro.channel.quantum_channel.DepolarizingChannel`,
-so sessions are *stabilizer-eligible* and the grid sweeps on the fast path
-(``simulator_backend="stabilizer"``); any non-Pauli channel degrades
-gracefully to the ``auto`` engine.  Quick mode (the registry default) runs
-the full grid in a few seconds and is seed-deterministic.
+The default link is the Pauli :class:`~repro.channel.quantum_channel.DepolarizingChannel`;
+``channel="eta"`` swaps in the paper's identity-gate chain and
+``"noiseless"`` the ideal link.  Every session runs on the protocol's one
+memoised pair-state engine whatever the link.  Quick mode (the registry
+default) runs the full grid in a few seconds and is seed-deterministic.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class SecurityStudyResult:
     check_pairs: int
     identity_pairs: int
     channel_name: str
-    simulator_backend: str
     honest_false_alarm_rate: float
     honest_scores: tuple[float, ...] = field(repr=False, default=())
     points: list[ScenarioStudyPoint] = field(default_factory=list)
@@ -170,7 +169,6 @@ class SecurityStudyResult:
             "check_pairs": self.check_pairs,
             "identity_pairs": self.identity_pairs,
             "channel": self.channel_name,
-            "simulator_backend": self.simulator_backend,
             "honest_false_alarm_rate": self.honest_false_alarm_rate,
             "points": [point.summary() for point in self.points],
             "frontier": [point.summary() for point in self.frontier],
@@ -199,16 +197,12 @@ def _study_config(
     channel: str,
     noise: float,
 ) -> ProtocolConfig:
-    """Base session config, on the stabilizer engine where eligible."""
-    config = ProtocolConfig.default(
+    """Base session config of the study."""
+    return ProtocolConfig.default(
         message_length=message_length,
         identity_pairs=identity_pairs,
         check_pairs_per_round=check_pairs,
     ).with_channel(_study_channel(channel, noise))
-    from repro.quantum.dispatch import protocol_eligibility
-
-    backend = "stabilizer" if protocol_eligibility(config).eligible else "auto"
-    return config.with_simulator_backend(backend)
 
 
 def _scenario_table(
@@ -377,7 +371,6 @@ def run_fig_security(
         check_pairs=check_pairs,
         identity_pairs=identity_pairs,
         channel_name=config.channel.name,
-        simulator_backend=config.simulator_backend,
         honest_false_alarm_rate=honest.detection_rate,
         honest_scores=honest_scores,
         chsh_bound={

@@ -149,10 +149,7 @@ class SessionParameters:
 
     The per-hop quantum channel always comes from the link; these are the
     remaining :class:`~repro.protocol.config.ProtocolConfig` tunables a
-    network operator would fix fleet-wide.  ``simulator_backend`` selects
-    every hop's pair-state engine (``"auto"`` fast paths by default — the
-    dominant lever behind network-throughput performance; ``"dense"``
-    reference; ``"stabilizer"`` statically verified Pauli physics per hop).
+    network operator would fix fleet-wide.
     """
 
     identity_pairs: int = 2
@@ -160,7 +157,6 @@ class SessionParameters:
     num_check_bits: int | None = None
     authentication_tolerance: float = 0.25
     check_bit_tolerance: float = 0.15
-    simulator_backend: str = "auto"
 
     def check_bits_for(self, message_length: int) -> int:
         """Check-bit count for a message (auto: the `ProtocolConfig.default` rule)."""
@@ -195,7 +191,6 @@ class SessionParameters:
             memory_decoherence=memory_decoherence,
             memory_hold_time=memory_hold_time,
             seed=seed,
-            simulator_backend=self.simulator_backend,
         )
 
 

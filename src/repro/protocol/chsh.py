@@ -147,7 +147,7 @@ class DISecurityCheck:
         reference path runs and the per-pair RNG consumption is unchanged
         (two uniform draws), so memoised estimates are bit-identical to
         ``memoize=False`` — asserted by
-        ``tests/protocol/test_simulator_backend.py``.
+        ``tests/protocol/test_memoization_parity.py``.
     shared_branch_cache:
         Optional externally owned cache used instead of the per-call one
         when ``memoize`` is enabled.  A batch of sessions measuring the same

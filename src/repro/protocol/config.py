@@ -73,17 +73,6 @@ class ProtocolConfig:
     raise_on_abort:
         If True the runner raises :class:`~repro.exceptions.ProtocolAbort`
         instead of returning an aborted result.
-    simulator_backend:
-        Pair-state simulation engine: ``"auto"`` (default) engages the
-        structure-sharing fast paths — memoised CHSH branch statistics,
-        memoised Bell-measurement distributions, shared source emissions —
-        which are bit-identical to the reference path by construction;
-        ``"dense"`` forces the unmemoised reference path; ``"stabilizer"``
-        additionally *requires* (at :meth:`validate` time, via
-        :func:`repro.quantum.dispatch.protocol_eligibility`) that every
-        quantum process of the session is a Pauli channel, i.e. that pair
-        states provably stay Bell-diagonal — failing loudly on non-Pauli
-        physics instead of implying a guarantee it cannot keep.
     scenario:
         Optional declarative adversary
         (:class:`~repro.attacks.scenarios.AttackScenario`,
@@ -113,7 +102,6 @@ class ProtocolConfig:
     bob_identity: Identity | None = None
     seed: int | None = None
     raise_on_abort: bool = False
-    simulator_backend: str = "auto"
     scenario: object | None = None
 
     # -- constructors ------------------------------------------------------------
@@ -219,20 +207,6 @@ class ProtocolConfig:
             raise ConfigurationError(
                 "bob_identity length does not match identity_pairs"
             )
-        from repro.quantum.dispatch import BACKEND_CHOICES, protocol_eligibility
-
-        if self.simulator_backend not in BACKEND_CHOICES:
-            raise ConfigurationError(
-                f"unknown simulator_backend {self.simulator_backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
-        if self.simulator_backend in ("stabilizer", "stabilizer_batched"):
-            eligibility = protocol_eligibility(self)
-            if not eligibility.eligible:
-                raise ConfigurationError(
-                    f"simulator_backend={self.simulator_backend!r} requires "
-                    f"Pauli-diagonal session physics: {eligibility.reason}"
-                )
         if self.scenario is not None:
             from repro.attacks.scenarios import as_schedule
 
@@ -276,10 +250,6 @@ class ProtocolConfig:
         return replace(
             self, memory_decoherence=decoherence, memory_hold_time=hold_time
         )
-
-    def with_simulator_backend(self, simulator_backend: str) -> "ProtocolConfig":
-        """A copy with a different pair-state simulation engine."""
-        return replace(self, simulator_backend=simulator_backend)
 
     def with_scenario(self, scenario) -> "ProtocolConfig":
         """A copy with a declarative adversarial scenario (None = honest)."""

@@ -159,9 +159,8 @@ class Bob:
     carry only a handful of distinct states (four Pauli encodings of one
     channel output), so the Bell-basis projections collapse to a few
     evaluations.  Sampling consumes the same single draw per pair from the
-    same floats, so outcomes are bit-identical to the unmemoised path
-    (``memoize=False``, the reference used by the protocol's ``dense``
-    simulator backend).
+    same floats, so outcomes are bit-identical to the unmemoised reference
+    path (``memoize=False``).
 
     ``shared_probability_cache`` optionally replaces the per-call cache with
     an externally owned dict so a batch of sessions (``run_session_batch``,

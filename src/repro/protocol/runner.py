@@ -64,10 +64,7 @@ class SessionCaches:
     plus the CHSH settings for branch statistics), the cached floats are the
     very values a solo session would compute, and per-pair RNG consumption is
     unchanged — so batched sessions are bit-identical to unbatched ones
-    (asserted by ``tests/protocol/test_simulator_backend.py``).
-
-    Only engaged on the fast path (``simulator_backend != "dense"``); dense
-    reference sessions never memoise.
+    (asserted by ``tests/protocol/test_memoization_parity.py``).
     """
 
     chsh_branches: dict = field(default_factory=dict)
@@ -107,8 +104,8 @@ class UADIQSDCProtocol:
         in :class:`repro.attacks.base.Attack`.  ``None`` runs an honest session.
     caches:
         Optional :class:`SessionCaches` shared with other sessions of a
-        batch (see :func:`run_session_batch`).  Only consulted on the fast
-        path; bit-identical to running without it.
+        batch (see :func:`run_session_batch`); bit-identical to running
+        without it.
     """
 
     def __init__(
@@ -124,11 +121,7 @@ class UADIQSDCProtocol:
     # -- public API ----------------------------------------------------------------
     def run(self, message: "str | Bits") -> ProtocolResult:
         """Execute the protocol end to end for the given secret message."""
-        with telemetry.span(
-            "protocol.session",
-            "protocol",
-            {"backend": self.config.simulator_backend},
-        ) as span:
+        with telemetry.span("protocol.session", "protocol") as span:
             result = self._run(message)
             span.attributes["success"] = result.success
             if result.abort_reason is not AbortReason.NONE:
@@ -159,11 +152,10 @@ class UADIQSDCProtocol:
             identity_alice, identity_bob, attack_rng, attack
         )
 
-        # "dense" runs the unmemoised reference engines; "auto"/"stabilizer"
-        # engage the structure-sharing fast paths, which are bit-identical to
-        # the reference by construction (see ProtocolConfig.simulator_backend).
-        fast_path = self.config.simulator_backend != "dense"
-        caches = self.caches if fast_path else None
+        # Bob and the security check memoise state-keyed measurement
+        # statistics (their default); both are bit-identical to their
+        # memoize=False reference engines by construction.
+        caches = self.caches
         alice = Alice(
             identity=encoding_identity_alice, peer_identity=identity_bob, rng=alice_rng
         )
@@ -171,7 +163,6 @@ class UADIQSDCProtocol:
             identity=encoding_identity_bob,
             peer_identity=identity_alice,
             rng=bob_rng,
-            memoize=fast_path,
             shared_probability_cache=None if caches is None else caches.bell_probabilities,
         )
 
@@ -196,7 +187,6 @@ class UADIQSDCProtocol:
         transcript.announce("alice", "round1_check_positions", list(round1_positions))
         security_check = DISecurityCheck(
             self.config.chsh_settings,
-            memoize=fast_path,
             shared_branch_cache=None if caches is None else caches.chsh_branches,
         )
         chsh_round1 = security_check.estimate(
@@ -508,8 +498,6 @@ class UADIQSDCProtocol:
             "check_pairs_per_round": self.config.check_pairs_per_round,
             "message_length": self.config.message_length,
             "num_check_bits": self.config.num_check_bits,
-            "simulator_backend": self.config.simulator_backend,
-            "session_fast_path": self.config.simulator_backend != "dense",
         }
 
     def _abort(

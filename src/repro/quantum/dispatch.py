@@ -24,11 +24,6 @@ accordingly:
   Pauli-diagonal part (the standard PTA), making non-Pauli device models
   stabilizer-eligible at documented accuracy cost.  ``auto`` never applies
   this implicitly.
-* :func:`protocol_eligibility` — the session-level analysis used by
-  :class:`~repro.protocol.config.ProtocolConfig` when a user forces
-  ``simulator_backend="stabilizer"``: every channel touched by a protocol
-  session (transmission, distribution, memory decoherence, source
-  preparation noise) must be Pauli-diagonal.
 """
 
 from __future__ import annotations
@@ -52,22 +47,17 @@ __all__ = [
     "BACKEND_CHOICES",
     "CLIFFORD_GATE_NAMES",
     "DispatchDecision",
-    "ProtocolEligibility",
     "circuit_is_clifford",
     "channel_is_pauli",
     "noise_model_is_pauli",
     "pauli_mixture",
     "pauli_twirl_channel",
     "pauli_twirl_noise_model",
-    "protocol_eligibility",
     "select_backend",
 ]
 
 #: The backend names every ``simulator_backend`` knob accepts.
-BACKEND_CHOICES = ("auto", "dense", "stabilizer", "stabilizer_batched")
-
-#: The two stabilizer-engine flavours (serial CHP and vectorized batch).
-_STABILIZER_BACKENDS = ("stabilizer", "stabilizer_batched")
+BACKEND_CHOICES = ("auto", "dense", "stabilizer")
 
 #: Gate names the stabilizer tableau implements (single source of truth is
 #: the engine; re-exported here because eligibility analysis is this
@@ -100,8 +90,7 @@ class DispatchDecision:
     Attributes
     ----------
     backend:
-        ``"stabilizer"``, ``"stabilizer_batched"`` or ``"dense"`` — the
-        resolved execution backend.
+        ``"stabilizer"`` or ``"dense"`` — the resolved execution backend.
     reason:
         Human-readable explanation (surfaced in result/job metadata so a
         user can see *why* a workload did or did not take the fast path).
@@ -112,8 +101,8 @@ class DispatchDecision:
 
     @property
     def use_stabilizer(self) -> bool:
-        """True when a tableau backend (serial or batched) was selected."""
-        return self.backend in _STABILIZER_BACKENDS
+        """True when the tableau backend was selected."""
+        return self.backend == "stabilizer"
 
 
 def _pauli_strings(num_qubits: int) -> Iterable[tuple[str, np.ndarray]]:
@@ -222,19 +211,14 @@ def select_backend(
     requested: str,
     circuits: "QuantumCircuit | Sequence[QuantumCircuit]",
     noise_model: NoiseModel | None = None,
-    batch: bool = False,
 ) -> DispatchDecision:
     """Resolve a requested backend for a (circuit batch, noise model) pair.
 
-    ``"dense"`` is always honoured.  ``"auto"`` picks a stabilizer backend
+    ``"dense"`` is always honoured.  ``"auto"`` picks the stabilizer backend
     exactly when every circuit is Clifford and every noise error that can
     fire on them is a Pauli mixture — the class on which the tableau is
     provably distribution-identical to the dense simulators — and falls
-    back to dense otherwise; with ``batch=True`` (a whole-batch submission,
-    i.e. a ``run_batch`` call) the vectorized ``"stabilizer_batched"``
-    engine is chosen over the serial one, since both are exact on this
-    class and the batched engine amortises per-circuit work.
-    ``"stabilizer"`` / ``"stabilizer_batched"`` raise
+    back to dense otherwise.  ``"stabilizer"`` raises
     :class:`~repro.exceptions.SimulationError` on ineligible input so that
     misconfiguration fails loudly rather than silently approximating.
     """
@@ -246,7 +230,7 @@ def select_backend(
         return _decide(requested, "dense", "dense backend requested")
     if isinstance(circuits, QuantumCircuit):
         circuits = [circuits]
-    forced_stabilizer = requested in _STABILIZER_BACKENDS
+    forced_stabilizer = requested == "stabilizer"
 
     non_clifford = next(
         (circuit for circuit in circuits if not circuit_is_clifford(circuit)), None
@@ -279,12 +263,6 @@ def select_backend(
             )
         return _decide(requested, "dense", reason)
 
-    if requested == "stabilizer_batched" or (requested == "auto" and batch):
-        return _decide(
-            requested,
-            "stabilizer_batched",
-            "Clifford circuits with Pauli-diagonal noise (vectorized batch)",
-        )
     return _decide(
         requested, "stabilizer", "Clifford circuits with Pauli-diagonal noise"
     )
@@ -337,62 +315,3 @@ def pauli_twirl_noise_model(noise_model: NoiseModel) -> NoiseModel:
     for qubit, readout in noise_model.iter_readout_errors():
         twirled.add_readout_error(readout, qubit)
     return twirled
-
-
-# -- protocol-session eligibility ----------------------------------------------------------
-@dataclass(frozen=True)
-class ProtocolEligibility:
-    """Stabilizer-structure eligibility of one protocol configuration.
-
-    Attributes
-    ----------
-    eligible:
-        True when every quantum process of a session is Pauli-diagonal on
-        Bell-pair states — transmission channel, distribution channel,
-        memory decoherence and source preparation noise.
-    reason:
-        The first disqualifying process, or a confirmation string.
-    """
-
-    eligible: bool
-    reason: str
-
-
-def protocol_eligibility(config) -> ProtocolEligibility:
-    """Analyse a :class:`~repro.protocol.config.ProtocolConfig` statically.
-
-    Used when a session forces ``simulator_backend="stabilizer"``: the
-    session's pair states then remain Bell-diagonal throughout, which is the
-    structure the protocol fast paths exploit.  ``auto`` does not need this
-    check (its memoised engines are exact for arbitrary channels); the
-    analysis exists so that a forced ``stabilizer`` request fails loudly on
-    non-Pauli physics instead of implying a guarantee it cannot keep.
-    """
-    source = config.source
-    if getattr(source, "override", None) is not None:
-        return ProtocolEligibility(False, "source emission is attacker-controlled")
-    preparation = getattr(source, "preparation_noise", None)
-    if preparation is not None and not channel_is_pauli(preparation):
-        return ProtocolEligibility(
-            False, f"source preparation noise {preparation.name!r} is not Pauli"
-        )
-    for attribute in ("channel", "distribution_channel"):
-        channel = getattr(config, attribute)
-        if channel is None:
-            continue
-        try:
-            single_use = channel.single_use_channel()
-        except NotImplementedError:
-            return ProtocolEligibility(
-                False, f"{attribute} {channel.name!r} exposes no single-use map"
-            )
-        if not channel_is_pauli(single_use):
-            return ProtocolEligibility(
-                False, f"{attribute} {channel.name!r} is not a Pauli channel"
-            )
-    decoherence = config.memory_decoherence
-    if decoherence is not None and not channel_is_pauli(decoherence):
-        return ProtocolEligibility(
-            False, f"memory decoherence {decoherence.name!r} is not Pauli"
-        )
-    return ProtocolEligibility(True, "all session processes are Pauli-diagonal")

@@ -1,16 +1,21 @@
-"""Parity and eligibility tests for ``ProtocolConfig.simulator_backend``.
+"""Parity tests for the protocol's memoised pair-state engines.
 
-The protocol's ``auto`` fast path (memoised CHSH branch statistics, memoised
-Bell-measurement distributions, shared source emissions) must be
-*bit-identical* to the ``dense`` reference path: identical results, identical
-RNG consumption, for honest and attacked sessions alike.
+Every session runs the fast path (memoised CHSH branch statistics, memoised
+Bell-measurement distributions, shared source emissions).  It must be
+*bit-identical* to the unmemoised reference — ``Bob(memoize=False)`` and
+``DISecurityCheck(memoize=False)`` swapped into the runner — with identical
+results and identical RNG consumption, for honest and attacked sessions,
+fused batches and networked deliveries alike.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.attacks.intercept_resend import InterceptResendAttack
-from repro.channel.quantum_channel import IdentityChainChannel, NoiselessChannel
+from repro.channel.quantum_channel import NoiselessChannel
+from repro.protocol import runner
 from repro.protocol.chsh import DISecurityCheck
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.identity import Identity
@@ -19,6 +24,24 @@ from repro.protocol.runner import UADIQSDCProtocol
 from repro.protocol.source import EntanglementSource
 from repro.quantum.bell import BellState, bell_state
 from repro.quantum.channels import depolarizing_channel
+
+
+@dataclass
+class _ReferenceBob(Bob):
+    memoize: bool = False
+
+
+@dataclass
+class _ReferenceCheck(DISecurityCheck):
+    memoize: bool = False
+
+
+def _reference(run):
+    """Call *run* with the runner's Bob and security check unmemoised."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "Bob", _ReferenceBob)
+        patch.setattr(runner, "DISecurityCheck", _ReferenceCheck)
+        return run()
 
 
 def _session_fingerprint(result):
@@ -39,49 +62,37 @@ class TestFastPathParity:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     def test_honest_session_bit_identical(self, seed):
         message = "0110" * 8
-        base = ProtocolConfig.default(len(message), seed=seed)
-        fast = UADIQSDCProtocol(base).run(message)
-        dense = UADIQSDCProtocol(base.with_simulator_backend("dense")).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
+        config = ProtocolConfig.default(len(message), seed=seed)
+        fast = UADIQSDCProtocol(config).run(message)
+        reference = _reference(lambda: UADIQSDCProtocol(config).run(message))
+        assert _session_fingerprint(fast) == _session_fingerprint(reference)
 
     def test_attacked_session_bit_identical(self):
         message = "10" * 8
-        base = ProtocolConfig.default(len(message), seed=11)
-        attack_a = InterceptResendAttack()
-        attack_b = InterceptResendAttack()
-        fast = UADIQSDCProtocol(base, attack=attack_a).run(message)
-        dense = UADIQSDCProtocol(
-            base.with_simulator_backend("dense"), attack=attack_b
-        ).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
+        config = ProtocolConfig.default(len(message), seed=11)
+        fast = UADIQSDCProtocol(config, attack=InterceptResendAttack()).run(message)
+        reference = _reference(
+            lambda: UADIQSDCProtocol(config, attack=InterceptResendAttack()).run(message)
+        )
+        assert _session_fingerprint(fast) == _session_fingerprint(reference)
 
     def test_noisy_channel_session_bit_identical(self):
         message = "1100" * 4
-        base = ProtocolConfig.default(len(message), seed=3, eta=50)
-        fast = UADIQSDCProtocol(base).run(message)
-        dense = UADIQSDCProtocol(base.with_simulator_backend("dense")).run(message)
-        assert _session_fingerprint(fast) == _session_fingerprint(dense)
+        config = ProtocolConfig.default(len(message), seed=3, eta=50)
+        fast = UADIQSDCProtocol(config).run(message)
+        reference = _reference(lambda: UADIQSDCProtocol(config).run(message))
+        assert _session_fingerprint(fast) == _session_fingerprint(reference)
 
-    def test_metadata_reports_backend(self):
-        config = ProtocolConfig.default(8, seed=0)
-        result = UADIQSDCProtocol(config).run("01010101")
-        assert result.metadata["simulator_backend"] == "auto"
-        assert result.metadata["session_fast_path"] is True
-        dense = UADIQSDCProtocol(config.with_simulator_backend("dense")).run("01010101")
-        assert dense.metadata["session_fast_path"] is False
+    def test_reference_seam_disables_memoisation(self):
+        from repro.protocol.runner import SessionCaches
 
-    def test_forced_stabilizer_runs_on_pauli_channel(self):
-        channel = IdentityChainChannel(eta=20, include_thermal_relaxation=False)
-        config = (
-            ProtocolConfig.default(8, seed=5)
-            .with_channel(channel)
-            .with_simulator_backend("stabilizer")
-        )
-        reference = UADIQSDCProtocol(
-            config.with_simulator_backend("dense")
-        ).run("01010101")
-        forced = UADIQSDCProtocol(config).run("01010101")
-        assert _session_fingerprint(forced) == _session_fingerprint(reference)
+        message = "01010101"
+        config = ProtocolConfig.default(len(message), seed=0)
+        caches = SessionCaches()
+        _reference(lambda: UADIQSDCProtocol(config, caches=caches).run(message))
+        assert not caches.chsh_branches and not caches.bell_probabilities
+        UADIQSDCProtocol(config, caches=caches).run(message)
+        assert caches.chsh_branches and caches.bell_probabilities
 
 
 class TestDISecurityCheckMemoization:
@@ -129,64 +140,27 @@ class TestBobMemoization:
         assert fast == reference
 
 
-class TestNetworkBackendPlumbing:
-    def _line_topology(self, channel_factory=None):
+class TestNetworkedDeliveryParity:
+    def _networked_config(self, seed=5):
+        from repro.api.config import ServiceConfig
         from repro.network.topology import line_topology
 
-        kwargs = {} if channel_factory is None else {"channel_factory": channel_factory}
-        return line_topology(3, **kwargs)
-
-    def _networked_config(self, backend_name, channel_factory=None, seed=5):
-        from repro.api.config import ServiceConfig
-
-        # The service-level channel field is kept Pauli-eligible so a forced
-        # "stabilizer" passes the construction-time representative
-        # validation; hop eligibility is then decided by the (independent)
-        # per-link channels of the topology.
         return (
-            ServiceConfig.networked(self._line_topology(channel_factory), seed=seed)
+            ServiceConfig.networked(line_topology(3), seed=seed)
             .with_channel(NoiselessChannel())
-            .with_simulator_backend(backend_name)
             .with_executor("serial")
         )
 
-    def test_service_backend_reaches_network_hops(self):
-        """ServiceConfig.simulator_backend flows into every hop's config.
-
-        The default *link* channel carries thermal relaxation (non-Pauli), so
-        a forced ``stabilizer`` must fail loudly inside the hop — proof the
-        knob is plumbed into the scheduler's SessionParameters rather than
-        silently dropped.
-        """
-        from repro.api.service import MessagingService
-        from repro.exceptions import ConfigurationError
-
-        service = MessagingService(self._networked_config("stabilizer"))
-        with pytest.raises(ConfigurationError, match="Pauli"):
-            service.send("1010", kind="bits")
-
-    def test_dense_and_auto_network_deliveries_identical(self):
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_networked_delivery_bit_identical_to_reference(self, seed):
         from repro.api.service import MessagingService
 
-        fast = MessagingService(self._networked_config("auto")).send("1010", kind="bits")
-        dense = MessagingService(self._networked_config("dense")).send(
-            "1010", kind="bits"
+        config = self._networked_config(seed)
+        fast = MessagingService(config).send("1010", kind="bits")
+        reference = _reference(
+            lambda: MessagingService(config).send("1010", kind="bits")
         )
-        assert fast.success == dense.success
-        assert fast.delivered_payload == dense.delivered_payload
-
-    def test_explicit_session_params_own_the_engine(self):
-        from repro.api.service import MessagingService
-        from repro.network.sessions import SessionParameters
-
-        # Seed 0 delivers on the default η=10 links (seed 5 aborts
-        # statistically on the small per-hop check-pair count — the
-        # documented quick-mode behaviour, not an eligibility failure).
-        config = self._networked_config("stabilizer", seed=0).with_network(
-            session_params=SessionParameters(simulator_backend="auto")
-        )
-        report = MessagingService(config).send("1010", kind="bits")
-        assert report.success  # explicit params win; no eligibility error
+        assert fast.summary() == reference.summary()
 
 
 class TestDeviceNoiseModelMemo:
@@ -277,8 +251,14 @@ class TestSessionBatchFusion:
             for config, _attack, msg in self._sessions(seeds, message)
         ]
         fused = run_session_batch(self._sessions(seeds, message))
+        reference = _reference(
+            lambda: run_session_batch(self._sessions(seeds, message))
+        )
         assert [_session_fingerprint(r) for r in fused] == [
             _session_fingerprint(r) for r in solo
+        ]
+        assert [_session_fingerprint(r) for r in fused] == [
+            _session_fingerprint(r) for r in reference
         ]
 
     def test_fused_attacked_batch_bit_identical(self):
@@ -300,15 +280,3 @@ class TestSessionBatchFusion:
         run_session_batch(self._sessions([0, 1]), caches=caches)
         assert caches.chsh_branches  # CHSH branch statistics were shared
         assert caches.bell_probabilities  # Bob's Bell distributions were shared
-
-    def test_caches_are_ignored_on_the_dense_path(self):
-        from repro.protocol.runner import SessionCaches
-
-        message = "01010101"
-        config = ProtocolConfig.default(len(message), seed=0).with_simulator_backend(
-            "dense"
-        )
-        caches = SessionCaches()
-        result = UADIQSDCProtocol(config, caches=caches).run(message)
-        assert result.metadata["session_fast_path"] is False
-        assert not caches.chsh_branches and not caches.bell_probabilities

@@ -251,6 +251,22 @@ class TestPauliNoiseConformance:
         assert trajectory.metadata["stabilizer_mode"] == "trajectory"
         assert_statistically_equivalent(analytic.counts, trajectory.counts)
 
+    @pytest.mark.parametrize(
+        "build", [reset_circuit, clifford_mix], ids=["reset_reuse", "clifford_mix"]
+    )
+    def test_vectorized_trajectories_match_per_shot_reference(self, build):
+        """The packed-tableau sampler agrees with the per-shot reference loop."""
+        from tests.quantum.reference_trajectories import reference_trajectory_counts
+
+        model = pauli_noise_model()
+        reference = reference_trajectory_counts(
+            build(), model, 2048, np.random.default_rng(3)
+        )
+        vectorized = StabilizerSimulator(noise_model=model, seed=4).run(
+            build(), shots=2048, method="trajectory"
+        )
+        assert_statistically_equivalent(reference, vectorized.counts)
+
     def test_dense_sequential_vs_batch_with_pauli_noise(self):
         model = pauli_noise_model()
         circuit = message_transfer("10", eta=80)
@@ -309,15 +325,22 @@ class TestBackendDispatchConformance:
         assert stab.counts == dense.counts
 
 
-# -- batched-stabilizer conformance ----------------------------------------------------
-class TestBatchedStabilizerConformance:
-    """The vectorized batched backend reproduces the serial stabilizer path.
+# -- run_batch conformance ---------------------------------------------------------------
+class TestRunBatchConformance:
+    """``run_batch`` reproduces per-circuit ``run`` and the dense simulators.
 
-    Bit-identical counts across batch sizes {1, 7, 64} under three seeds: the
-    batched analytic plan hoists the serial path's pure post-processing
-    (readout fold, renormalize, key rendering) and draws the same single
-    multinomial per circuit in submission order, so equal seeds mean equal
-    histograms — including under Pauli noise and deep η-repeat chains.
+    Bit-identical counts across batch sizes {1, 7, 64} under three seeds:
+    each circuit structure resolves once into a cached sampling plan (exact
+    distribution, readout fold, rendered keys) and every circuit then draws
+    one multinomial in submission order, so equal seeds mean equal
+    histograms, including under Pauli noise and deep η-repeat chains.
+
+    The dense comparison shares one stream only on the noisy battery.  On
+    noiseless circuits the dense simulators leave float dust (~1e-33) on
+    impossible outcomes, which makes ``multinomial`` consume extra draws
+    without changing that circuit's counts; the stream then drifts for the
+    circuits after it.  Noiseless dense parity is pinned per circuit by
+    :class:`TestNoiselessExactConformance` instead.
     """
 
     def _battery_circuits(self, count: int, noisy: bool) -> list:
@@ -325,70 +348,50 @@ class TestBatchedStabilizerConformance:
         builders = [param.values[0] for param in battery]
         return [builders[i % len(builders)]() for i in range(count)]
 
+    def _batch_and_single(self, model, seed, circuits):
+        batched = StabilizerSimulator(noise_model=model, seed=seed).run_batch(
+            circuits, shots=SHOTS
+        )
+        single = StabilizerSimulator(noise_model=model, seed=seed)
+        one_by_one = [single.run(circuit, shots=SHOTS).counts for circuit in circuits]
+        return batched.counts, one_by_one
+
     @pytest.mark.parametrize("seed", [101, 202, 303])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_noiseless_batches_bit_identical_to_serial(self, seed, batch_size):
-        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
+    def test_noiseless_batches_bit_identical(self, seed, batch_size):
         circuits = self._battery_circuits(batch_size, noisy=False)
-        serial = StabilizerSimulator(seed=seed).run_batch(circuits, shots=SHOTS)
-        batched = BatchedStabilizerSimulator(seed=seed).run_batch(circuits, shots=SHOTS)
-        assert [r.counts for r in batched.results] == [
-            r.counts for r in serial.results
-        ]
+        batched, one_by_one = self._batch_and_single(None, seed, circuits)
+        assert batched == one_by_one
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_pauli_noise_batches_bit_identical_to_serial(self, seed, batch_size):
-        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
+    def test_pauli_noise_batches_bit_identical(self, seed, batch_size):
         model = pauli_noise_model()
         circuits = self._battery_circuits(batch_size, noisy=True)
-        serial = StabilizerSimulator(noise_model=model, seed=seed).run_batch(
+        batched, one_by_one = self._batch_and_single(model, seed, circuits)
+        dense = DensityMatrixSimulator(noise_model=model, seed=seed).run_batch(
             circuits, shots=SHOTS
         )
-        batched = BatchedStabilizerSimulator(noise_model=model, seed=seed).run_batch(
-            circuits, shots=SHOTS
-        )
-        assert [r.counts for r in batched.results] == [
-            r.counts for r in serial.results
-        ]
+        assert batched == one_by_one
+        assert batched == dense.counts
 
     def test_eta_repeat_compression_parity(self):
-        # Deep identity chains exercise the η-repeat compression on both
-        # paths; the batched backend must agree bit for bit and with dense.
-        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
+        # Deep identity chains exercise the η-repeat compression; the
+        # stabilizer must agree bit for bit with dense.
         model = pauli_noise_model()
         circuit = message_transfer("10", eta=120)
         dense = DensityMatrixSimulator(noise_model=model, seed=41).run(
             circuit, shots=SHOTS
         )
-        batched = BatchedStabilizerSimulator(noise_model=model, seed=41).run(
-            circuit, shots=SHOTS
-        )
-        assert batched.counts == dense.counts
+        stab = StabilizerSimulator(noise_model=model, seed=41).run(circuit, shots=SHOTS)
+        assert stab.counts == dense.counts
 
-    def test_batched_trajectory_statistically_equivalent(self):
-        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
-        model = pauli_noise_model()
-        circuit = reset_circuit()
-        analytic = StabilizerSimulator(noise_model=model, seed=7).run(
-            circuit, shots=4096
-        )
-        trajectory = BatchedStabilizerSimulator(noise_model=model, seed=8).run(
-            circuit, shots=4096, method="trajectory"
-        )
-        assert trajectory.metadata["stabilizer_mode"] == "trajectory"
-        assert_statistically_equivalent(analytic.counts, trajectory.counts)
-
-    def test_auto_batch_routes_ideal_device_to_batched_backend(self):
+    def test_auto_batch_routes_ideal_device_to_stabilizer(self):
         backend = NoisyBackend(DeviceModel.ideal(2), seed=5)
         circuits = [message_transfer(m) for m in ("00", "01", "10", "11")]
         counts = backend.run_batch(circuits, shots=512)
         for job in backend.jobs[-len(circuits):]:
-            assert job.metadata["backend"] == "stabilizer_batched"
+            assert job.metadata["backend"] == "stabilizer"
         dense_backend = NoisyBackend(
             DeviceModel.ideal(2), seed=5, simulator_backend="dense"
         )
@@ -399,32 +402,13 @@ class TestBatchedStabilizerConformance:
             dict(c.items()) for c in dense_counts
         ]
 
-    def test_forced_batched_raises_on_non_clifford_circuit(self):
-        from repro.exceptions import SimulationError
-        from repro.quantum.dispatch import select_backend
-
-        circuit = QuantumCircuit(1)
-        circuit.t(0)
-        circuit.measure_all()
-        with pytest.raises(SimulationError, match="forced"):
-            select_backend("stabilizer_batched", circuit, None)
-
-    def test_forced_batched_raises_on_thermal_relaxation_device(self):
-        from repro.exceptions import SimulationError
-
-        backend = NoisyBackend(
-            DeviceModel.ibm_brisbane(), seed=5, simulator_backend="stabilizer_batched"
-        )
-        with pytest.raises(SimulationError, match="forced"):
-            backend.run(message_transfer("01"), shots=64)
-
 
 # -- readout-error renormalization parity ----------------------------------------------
 class TestReadoutRenormalizationParity:
     """All backends share one clip-to-renormalize helper for readout folding.
 
-    The dense sampler, the stabilizer analytic sampler, and the batched plan
-    all call :func:`renormalize_readout_probabilities`, so float-noise
+    The dense sampler and the stabilizer's sampling plan both call
+    :func:`renormalize_readout_probabilities`, so float-noise
     handling at the clip boundary cannot diverge between backends.
     """
 
@@ -446,9 +430,7 @@ class TestReadoutRenormalizationParity:
 
     def test_extreme_asymmetric_readout_parity_across_backends(self):
         # An adversarially skewed confusion matrix stresses the clip-and-
-        # renormalize path; all three exact backends must stay bit-identical.
-        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
-
+        # renormalize path; every exact path must stay bit-identical.
         model = NoiseModel("extreme_readout")
         model.add_all_qubit_error(depolarizing_channel(0.004), "id")
         model.add_readout_error(ReadoutError(0.49, 0.002))
@@ -459,8 +441,8 @@ class TestReadoutRenormalizationParity:
         serial = StabilizerSimulator(noise_model=model, seed=17).run(
             circuit, shots=SHOTS
         )
-        batched = BatchedStabilizerSimulator(noise_model=model, seed=17).run(
-            circuit, shots=SHOTS
-        )
+        batched = StabilizerSimulator(noise_model=model, seed=17).run_batch(
+            [circuit], shots=SHOTS
+        )[0]
         assert serial.counts == dense.counts
         assert batched.counts == dense.counts

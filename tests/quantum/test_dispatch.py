@@ -8,7 +8,7 @@ from repro.channel.quantum_channel import (
     IdentityChainChannel,
     NoiselessChannel,
 )
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.protocol.config import ProtocolConfig
 from repro.quantum.channels import (
     amplitude_damping_channel,
@@ -30,7 +30,6 @@ from repro.quantum.dispatch import (
     pauli_mixture,
     pauli_twirl_channel,
     pauli_twirl_noise_model,
-    protocol_eligibility,
     select_backend,
 )
 from repro.quantum.noise_model import NoiseModel, ReadoutError
@@ -201,44 +200,23 @@ class TestPauliTwirl:
         assert twirled.has_readout_error() == model.has_readout_error()
 
 
-class TestProtocolEligibility:
-    def test_noiseless_channel_eligible(self):
-        config = ProtocolConfig.default(8, seed=0).with_channel(NoiselessChannel())
-        assert protocol_eligibility(config).eligible
+class TestProtocolChannelPauliness:
+    """Which protocol link models are Pauli channels (stay Bell-diagonal)."""
 
-    def test_depolarizing_only_identity_chain_eligible(self):
+    def test_noiseless_channel_is_pauli(self):
+        assert channel_is_pauli(NoiselessChannel().single_use_channel())
+
+    def test_depolarizing_only_identity_chain_is_pauli(self):
         channel = IdentityChainChannel(eta=30, include_thermal_relaxation=False)
-        config = ProtocolConfig.default(8, seed=0).with_channel(channel)
-        assert protocol_eligibility(config).eligible
+        assert channel_is_pauli(channel.single_use_channel())
 
-    def test_thermal_relaxation_chain_ineligible(self):
-        config = ProtocolConfig.default(8, seed=0)  # default η-chain with relaxation
-        eligibility = protocol_eligibility(config)
-        assert not eligibility.eligible
-        assert "not a Pauli channel" in eligibility.reason
+    def test_thermal_relaxation_chain_is_not_pauli(self):
+        channel = ProtocolConfig.default(8, seed=0).channel  # default η-chain
+        assert not channel_is_pauli(channel.single_use_channel())
 
-    def test_fiber_channel_with_dephasing_eligible(self):
+    def test_fiber_channel_with_dephasing_is_pauli(self):
         channel = FiberLossChannel(length_km=5.0, dephasing_per_km=0.0)
-        config = ProtocolConfig.default(8, seed=0).with_channel(channel)
-        assert protocol_eligibility(config).eligible
-
-    def test_forced_stabilizer_config_validation(self):
-        eligible = (
-            ProtocolConfig.default(8, seed=0)
-            .with_channel(NoiselessChannel())
-            .with_simulator_backend("stabilizer")
-        )
-        eligible.validate()  # does not raise
-        ineligible = ProtocolConfig.default(8, seed=0).with_simulator_backend(
-            "stabilizer"
-        )
-        with pytest.raises(ConfigurationError, match="Pauli"):
-            ineligible.validate()
-
-    def test_unknown_backend_name_rejected(self):
-        config = ProtocolConfig.default(8, seed=0).with_simulator_backend("qpu")
-        with pytest.raises(ConfigurationError, match="unknown simulator_backend"):
-            config.validate()
+        assert channel_is_pauli(channel.single_use_channel())
 
     def test_backend_choices_contract(self):
-        assert BACKEND_CHOICES == ("auto", "dense", "stabilizer", "stabilizer_batched")
+        assert BACKEND_CHOICES == ("auto", "dense", "stabilizer")

@@ -229,7 +229,7 @@ class TestStabilizerSimulator:
         simulator = StabilizerSimulator(seed=0)
         batch = simulator.run_batch([_bell_circuit(), _bell_circuit()], shots=32)
         assert len(batch) == 2
-        assert batch.metadata["method"] == "stabilizer_batch"
+        assert batch.metadata["method"] == "stabilizer"
         assert batch.metadata["cache_hits"] >= 1
 
     def test_many_qubit_register_beyond_dense_superop_limit(self):

@@ -4,18 +4,19 @@ The cross-backend battery (``test_backend_conformance.py``) pins the
 simulator-level contracts; this file exercises the engine itself:
 bit-packed gate updates against the serial ``CliffordTableau`` on random
 Clifford streams, batch measurement/reset semantics, masked Pauli frames,
-the popcount kernel, and the ``BatchedStabilizerSimulator`` error surface.
+the popcount kernel, and the ``StabilizerSimulator.run_batch`` surface.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.stabilizer import CliffordTableau, StabilizerSimulator
-from repro.quantum.tableau_batch import (
+from repro.quantum.stabilizer import (
     BatchedCliffordTableau,
-    BatchedStabilizerSimulator,
+    CliffordTableau,
+    StabilizerSimulator,
     popcount,
 )
 
@@ -159,95 +160,115 @@ def bell_circuit() -> QuantumCircuit:
     return circuit
 
 
-class TestBatchedStabilizerSimulatorSurface:
-    def test_run_is_a_batch_of_one(self):
-        simulator = BatchedStabilizerSimulator(seed=3)
-        reference = StabilizerSimulator(seed=3)
-        assert (
-            simulator.run(bell_circuit(), shots=512).counts
-            == reference.run(bell_circuit(), shots=512).counts
-        )
+def wide_ghz_circuit() -> QuantumCircuit:
+    # 13 measured qubits: one past the inclusive analytic envelope.
+    circuit = QuantumCircuit(13, 13, name="wide")
+    circuit.h(0)
+    for q in range(12):
+        circuit.cx(q, q + 1)
+    circuit.measure(range(13), range(13))
+    return circuit
 
-    def test_result_metadata_names_the_batched_method(self):
-        result = BatchedStabilizerSimulator(seed=0).run(bell_circuit(), shots=8)
-        assert result.metadata["method"] == "stabilizer_batched"
-        assert result.metadata["stabilizer_mode"] == "analytic"
+
+class TestRunBatchSurface:
+    def test_batched_name_is_an_alias(self):
+        from repro.quantum.tableau_batch import BatchedStabilizerSimulator
+
+        assert BatchedStabilizerSimulator is StabilizerSimulator
+
+    def test_run_is_a_batch_of_one(self):
+        single = StabilizerSimulator(seed=3).run(bell_circuit(), shots=512)
+        batch = StabilizerSimulator(seed=3).run_batch([bell_circuit()], shots=512)
+        assert single.counts == batch.results[0].counts
+        assert single.metadata == batch.results[0].metadata
+
+    def test_batch_metadata_names_engine_and_mode(self):
+        batch = StabilizerSimulator(seed=0).run_batch([bell_circuit()], shots=8)
+        assert batch.metadata["method"] == "stabilizer"
+        assert batch.metadata["mode"] == "analytic"
+        assert batch.results[0].metadata["stabilizer_mode"] == "analytic"
+        mixed = StabilizerSimulator(seed=0).run_batch(
+            [bell_circuit(), wide_ghz_circuit()], shots=8
+        )
+        assert mixed.metadata["mode"] == "mixed"
+        assert mixed.metadata["trajectories"] == 1
+
+    @pytest.mark.parametrize(
+        "method, mode", [("auto", "analytic"), ("trajectory", "trajectory")]
+    )
+    def test_run_batch_span_names_engine_and_mode(self, method, mode):
+        with telemetry.capture(clock="ticks") as session:
+            StabilizerSimulator(seed=0).run_batch(
+                [bell_circuit()] * 3, shots=8, method=method
+            )
+        spans = [s for s in session.document.spans if s.name == "sim.run_batch"]
+        assert len(spans) == 1
+        assert spans[0].attributes["engine"] == "stabilizer"
+        assert spans[0].attributes["mode"] == mode
+        assert spans[0].attributes["circuits"] == 3
 
     def test_negative_shots_rejected(self):
         with pytest.raises(SimulationError, match="non-negative"):
-            BatchedStabilizerSimulator().run_batch([bell_circuit()], shots=-1)
+            StabilizerSimulator().run_batch([bell_circuit()], shots=-1)
 
     def test_initial_state_rejected(self):
         with pytest.raises(SimulationError, match=r"\|0\.\.\.0>"):
-            BatchedStabilizerSimulator().run_batch(
+            StabilizerSimulator().run_batch(
                 [bell_circuit()], shots=8, initial_state=object()
             )
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(SimulationError, match="unknown batched stabilizer method"):
-            BatchedStabilizerSimulator().run_batch([bell_circuit()], method="exact")
-
-    def test_conflicting_serial_and_noise_model_rejected(self):
-        from repro.quantum.noise_model import NoiseModel
-
-        serial = StabilizerSimulator()
-        with pytest.raises(SimulationError, match="conflicting"):
-            BatchedStabilizerSimulator(noise_model=NoiseModel("m"), serial=serial)
+        with pytest.raises(SimulationError, match="unknown stabilizer method"):
+            StabilizerSimulator().run_batch([bell_circuit()], method="exact")
 
     def test_non_clifford_circuit_rejected(self):
         circuit = QuantumCircuit(1, 1, name="t_gate")
         circuit.t(0)
         circuit.measure([0], [0])
         with pytest.raises(SimulationError, match="not Clifford"):
-            BatchedStabilizerSimulator().run_batch([circuit], shots=8)
+            StabilizerSimulator().run_batch([circuit], shots=8)
 
     def test_measurement_free_circuit_yields_empty_counts_without_rng(self):
         circuit = QuantumCircuit(2, name="no_measure")
         circuit.h(0)
-        simulator = BatchedStabilizerSimulator(seed=1)
+        simulator = StabilizerSimulator(seed=1)
         result = simulator.run_batch([circuit, bell_circuit()], shots=64).results
         assert result[0].counts == {} and result[0].shots == 0
         # The empty circuit consumed no randomness: the Bell counts match a
         # fresh simulator sampling the Bell circuit alone.
-        alone = BatchedStabilizerSimulator(seed=1).run(bell_circuit(), shots=64)
+        alone = StabilizerSimulator(seed=1).run(bell_circuit(), shots=64)
         assert result[1].counts == alone.counts
 
     def test_repeated_circuit_object_resolves_one_structure(self):
         circuit = bell_circuit()
-        simulator = BatchedStabilizerSimulator(seed=2)
+        simulator = StabilizerSimulator(seed=2)
         batch = simulator.run_batch([circuit] * 16, shots=32)
         assert batch.metadata["structures"] == 1
         assert len(batch.results) == 16
 
-    def test_plan_cache_reuses_serial_distribution_cache(self):
-        simulator = BatchedStabilizerSimulator(seed=2)
+    def test_plan_cache_reused_across_batches(self):
+        simulator = StabilizerSimulator(seed=2)
         simulator.run_batch([bell_circuit()], shots=8)
         second = simulator.run_batch([bell_circuit()], shots=8)
-        # Distinct circuit objects with equal structure hit the shared
-        # serial analytic cache.
+        # Distinct circuit objects with equal structure hit the
+        # structure-keyed plan cache.
         assert second.metadata["cache_hits"] == 1
+        assert second.metadata["cache_misses"] == 0
 
-    def test_out_of_envelope_falls_back_serially_bit_identical(self):
-        # 13 measured qubits exceed the analytic envelope; auto must match
-        # the serial simulator bit for bit (both fall back to trajectories).
-        circuit = QuantumCircuit(13, 13, name="wide")
-        circuit.h(0)
-        for q in range(12):
-            circuit.cx(q, q + 1)
-        circuit.measure(range(13), range(13))
-        batched = BatchedStabilizerSimulator(seed=4)
-        serial = StabilizerSimulator(seed=4)
-        batch = batched.run_batch([circuit], shots=64)
-        assert batch.metadata["serial_fallbacks"] == 1
-        assert batch.results[0].counts == serial.run(circuit, shots=64).counts
+    def test_out_of_envelope_samples_trajectories(self):
+        # 13 measured qubits exceed the analytic envelope; auto sends the
+        # circuit to the vectorized trajectory sampler, and run() is still
+        # the batch of one bit for bit.
+        circuit = wide_ghz_circuit()
+        batch = StabilizerSimulator(seed=4).run_batch([circuit], shots=64)
+        assert batch.metadata["trajectories"] == 1
+        assert batch.results[0].metadata["stabilizer_mode"] == "trajectory"
+        assert set(batch.results[0].counts) <= {"0" * 13, "1" * 13}
+        single = StabilizerSimulator(seed=4).run(circuit, shots=64)
+        assert batch.results[0].counts == single.counts
 
     def test_forced_analytic_raises_out_of_envelope(self):
-        circuit = QuantumCircuit(13, 13, name="wide")
-        circuit.h(0)
-        for q in range(12):
-            circuit.cx(q, q + 1)
-        circuit.measure(range(13), range(13))
         with pytest.raises(SimulationError, match="analytic envelope"):
-            BatchedStabilizerSimulator().run_batch(
-                [circuit], shots=8, method="analytic"
+            StabilizerSimulator().run_batch(
+                [wide_ghz_circuit()], shots=8, method="analytic"
             )

@@ -43,6 +43,33 @@ class TestPercentile:
     def test_empty_is_zero(self):
         assert percentile([], 0.5) == 0.0
 
+    def test_network_class_percentiles_use_the_same_helper(self):
+        from repro.network.metrics import NetworkResult, SessionRecord
+        from repro.network.sessions import STATUS_DELIVERED
+
+        latencies = [0.7, 0.1, 2.5, 0.4, 1.9, 0.3, 0.9]
+        records = [
+            SessionRecord(
+                session_id=index,
+                source="a",
+                target="b",
+                message_length=8,
+                arrival_time=0.0,
+                status=STATUS_DELIVERED,
+                start_time=0.0,
+                finish_time=latency,
+            )
+            for index, latency in enumerate(latencies)
+        ]
+        result = NetworkResult("line", 2, 1, "shortest", 3.0, records=records)
+        expected = {"p50": 0.7, "p95": 2.5, "p99": 2.5}
+        assert result.class_latency_percentiles() == {"bulk": expected}
+        assert {
+            "p50": percentile(latencies, 0.50),
+            "p95": percentile(latencies, 0.95),
+            "p99": percentile(latencies, 0.99),
+        } == expected
+
 
 class TestServiceTimeModel:
     def test_hops_scale_the_mean(self, rng):
