@@ -92,6 +92,11 @@ class TestNoisyBackend:
         correct = counts.get("00", 0) + counts.get("11", 0)
         assert correct / counts.shots > 0.9
 
+    @pytest.mark.parametrize("name", ["qpu", "stabilizer_batched"])
+    def test_unknown_simulator_backend_rejected(self, name):
+        with pytest.raises(DeviceError, match="unknown simulator backend"):
+            NoisyBackend(DeviceModel.ideal(2), simulator_backend=name)
+
     def test_default_device_is_brisbane(self):
         assert NoisyBackend(seed=0).name == "ibm_brisbane"
 

@@ -8,15 +8,17 @@ results and identical RNG consumption, for honest and attacked sessions,
 fused batches and networked deliveries alike.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
+from repro.api.config import ServiceConfig
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.channel.quantum_channel import NoiselessChannel
 from repro.protocol import runner
 from repro.protocol.chsh import DISecurityCheck
+from repro.network.sessions import SessionParameters
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.identity import Identity
 from repro.protocol.parties import Bob
@@ -93,6 +95,22 @@ class TestFastPathParity:
         assert not caches.chsh_branches and not caches.bell_probabilities
         UADIQSDCProtocol(config, caches=caches).run(message)
         assert caches.chsh_branches and caches.bell_probabilities
+
+
+class TestNoSessionEngineKnob:
+    """No configuration layer selects the simulator a protocol session uses."""
+
+    @pytest.mark.parametrize(
+        "config_class",
+        [ProtocolConfig, ServiceConfig, SessionParameters],
+        ids=["protocol", "service", "session"],
+    )
+    def test_config_has_no_simulator_backend(self, config_class):
+        assert "simulator_backend" not in {field.name for field in fields(config_class)}
+        assert not hasattr(config_class, "with_simulator_backend")
+
+    def test_service_description_names_no_engine(self):
+        assert "simulator_backend" not in ServiceConfig.paper_default(seed=0).describe()
 
 
 class TestDISecurityCheckMemoization:

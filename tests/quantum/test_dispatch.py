@@ -175,6 +175,12 @@ class TestSelectBackend:
         with pytest.raises(SimulationError, match="unknown simulator backend"):
             select_backend("gpu", self._bell(), None)
 
+    def test_retired_batched_backend_name_rejected(self):
+        # The batched stabilizer engine merged into "stabilizer"; its old
+        # name must fail loudly rather than fall through to "auto".
+        with pytest.raises(SimulationError, match="unknown simulator backend"):
+            select_backend("stabilizer_batched", self._bell(), None)
+
 
 class TestPauliTwirl:
     def test_twirl_is_identity_on_pauli_channels(self):
