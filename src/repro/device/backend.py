@@ -126,45 +126,24 @@ class NoisyBackend:
 
     # -- execution -----------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, shots: int = 1024) -> Counts:
-        """Execute *circuit* with *shots* repetitions and return the counts.
+        """Execute *circuit* with *shots* repetitions: a batch of one.
 
         The circuit routes through the backend resolved by the dispatch
         layer (see the class docstring); a fixed seed yields bit-identical
         counts whichever backend ``auto`` resolves to on noiseless Clifford
         circuits.
         """
-        self._validate(circuit)
-        decision = self._dispatch(circuit)
-        if decision.use_stabilizer:
-            result = self._stabilizer_simulator().run(
-                circuit, shots=shots, rng=self._rng
-            )
-        else:
-            result = self._simulator.run(circuit, shots=shots, rng=self._rng)
-        counts = Counts(result.counts, shots=shots)
-        metadata = dict(result.metadata)
-        metadata["backend"] = decision.backend
-        metadata["dispatch_reason"] = decision.reason
-        self.jobs.append(
-            BackendJob(
-                circuit_name=circuit.name,
-                shots=shots,
-                counts=counts,
-                metadata=metadata,
-            )
-        )
-        return counts
+        return self.run_batch([circuit], shots)[0]
 
     def run_batch(
         self, circuits: Sequence[QuantumCircuit], shots: int = 1024
     ) -> list[Counts]:
-        """Execute several circuits through the batched simulator path.
+        """Execute several circuits, in order, on one dispatch decision.
 
-        Each circuit is compiled once into a cached propagator (see
-        :mod:`repro.quantum.batch`) and sampled with a single multinomial
-        draw, which is the fast path the experiment sweeps use.  One
-        :class:`BackendJob` is recorded per circuit, exactly as with
-        repeated :meth:`run` calls.
+        The dense simulator compiles each circuit once into a cached
+        propagator (see :mod:`repro.quantum.batch`) and samples it with a
+        single multinomial draw.  One :class:`BackendJob` is recorded per
+        circuit.
 
         Parameters
         ----------

@@ -31,19 +31,20 @@ parallel at all.  Queueing delay is fed back into the quantum layer as
 memory hold time on the session's first hop, so congestion physically
 degrades stored qubits when node memories are non-ideal.
 
-**Time-varying conditions and QoS.**  When the scheduler is given a
+**Time-varying conditions and QoS.**  The reservation pass is one
+condition-aware discrete-event loop.  Given a
 :class:`~repro.network.dynamics.NetworkDynamics` (drift curves, calibration
-aging, failure/recovery windows) or a :class:`QoSPolicy` (weighted-fair
-priority classes), the reservation pass switches to a superset discrete-event
-loop that additionally (a) evaluates channel conditions at each session's
-*admission* time and snapshots the drifted per-hop channels for the execution
-pass, (b) re-routes sessions around elements whose failure windows intersect
-the reservation interval (growing an exclusion set to a fixed point), and
-(c) services the waiting queue by per-class virtual time instead of FIFO.
-The static path is kept verbatim and is taken whenever neither feature is
-configured, so existing simulations are bit-identical run to run; a dynamics
-object whose conditions are all trivial reproduces the static schedule
-exactly through the dynamic loop (the metamorphic tests pin this).
+aging, failure/recovery windows) it (a) evaluates channel conditions at each
+session's *admission* time and snapshots the per-hop channels for the
+execution pass, and (b) re-routes sessions around elements whose failure
+windows intersect the reservation interval (growing an exclusion set to a
+fixed point).  Given a :class:`QoSPolicy` (weighted-fair priority classes)
+it (c) services the waiting queue by per-class virtual time instead of
+FIFO.  Without either, conditions are static
+(:meth:`NetworkDynamics.static`) and the queue is served FIFO; the snapshots
+are then the links' own channel objects, so the schedule and every session
+outcome match a frozen-network FIFO pass exactly (the metamorphic tests pin
+this against a reference copy of that pass).
 """
 
 from __future__ import annotations
@@ -91,14 +92,9 @@ DEFAULT_QOS_WEIGHTS = {"control": 4.0, "interactive": 2.0, "bulk": 1.0}
 
 # Event-kind priorities at equal timestamps: completions free capacity before
 # timeouts give up on queued sessions, and both precede new arrivals.
-_COMPLETION, _TIMEOUT, _ARRIVAL = 0, 1, 2
-
-# Dynamic-pass event kinds.  Recovery (an outage window ending) slots between
-# completions and timeouts: freed elements are visible before any co-timed
-# patience expiry.  Static runs have no recovery events, so the relative
-# order completion < timeout < arrival — the one the static pass uses — is
-# preserved, which the bit-identity contract relies on.
-_DYN_COMPLETION, _DYN_RECOVERY, _DYN_TIMEOUT, _DYN_ARRIVAL = 0, 1, 2, 3
+# Recovery (an outage window ending) slots between completions and timeouts,
+# so freed elements are visible before any co-timed patience expiry.
+_COMPLETION, _RECOVERY, _TIMEOUT, _ARRIVAL = 0, 1, 2, 3
 
 
 class PoissonTraffic:
@@ -279,9 +275,9 @@ class QoSPolicy:
 class _Pending:
     """Scheduling state of one request during the reservation pass.
 
-    The dynamic pass additionally tracks admission-time channel snapshots
-    (``channels`` — the drifted per-hop channels the execution pass runs
-    over), whether the session left its originally prepared route
+    Besides capacity and timing, the pass tracks admission-time channel
+    snapshots (``channels`` — the drifted per-hop channels the execution
+    pass runs over), whether the session left its originally prepared route
     (``rerouted``), and whether its latest failed admission attempt was
     blocked by an outage rather than capacity (``outage_blocked`` — which
     turns a patience expiry into an ``outage_timeout`` rejection).
@@ -330,8 +326,8 @@ class NetworkScheduler:
     dynamics:
         Optional :class:`~repro.network.dynamics.NetworkDynamics` — drift,
         aging and outage conditions evaluated at each session's admission
-        time.  ``None`` (default) keeps the environment frozen and takes
-        the original reservation pass verbatim.
+        time.  ``None`` (default) keeps the environment frozen
+        (:meth:`NetworkDynamics.static`).
     qos:
         Optional :class:`QoSPolicy` — weighted-fair service of priority
         classes in the waiting queue.  ``None`` (default) serves FIFO.
@@ -404,14 +400,7 @@ class NetworkScheduler:
             requests = sorted(requests, key=lambda r: (r.arrival_time, r.session_id))
             pendings = [self._prepare(request) for request in requests]
             with telemetry.span("network.reservation", "network"):
-                # The original pass is kept verbatim for the frozen
-                # configuration (bit-identical to every earlier release);
-                # any dynamics/QoS — even trivial ones — take the superset
-                # loop, which the metamorphic tests hold to the same output.
-                if self.dynamics is None and self.qos is None:
-                    sim_time = self._reservation_pass(pendings)
-                else:
-                    sim_time = self._dynamic_reservation_pass(pendings)
+                sim_time = self._reservation_pass(pendings)
             with telemetry.span(
                 "network.execution",
                 "network",
@@ -475,124 +464,9 @@ class NetworkScheduler:
         Capacity accounting lives in
         :class:`~repro.runtime.admission.NodeCapacityLedger` — the same
         ledger the delivery runtime uses — so both layers share one
-        definition of "this node can hold the session's pairs".
-        """
-        ledger = NodeCapacityLedger(self.topology)
-        events: list[tuple[float, int, int, _Pending]] = []
-        sequence = 0
-
-        def push(time: float, kind: int, pending: _Pending) -> None:
-            nonlocal sequence
-            heapq.heappush(events, (time, kind, sequence, pending))
-            sequence += 1
-
-        for pending in pendings:
-            if pending.route is None:
-                pending.resolved = True  # rejected outright: no route
-                continue
-            push(pending.request.arrival_time, _ARRIVAL, pending)
-            if self.max_wait is not None:
-                push(pending.request.arrival_time + self.max_wait, _TIMEOUT, pending)
-
-        queue: list[_Pending] = []
-        sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
-
-        def admit(pending: _Pending, now: float) -> None:
-            record = pending.record
-            session_id = pending.request.session_id
-            telemetry.counter_inc("scheduler.admitted")
-            telemetry.counter_inc(
-                "scheduler.qubits_reserved", sum(pending.qubits_needed.values())
-            )
-            _log.debug(
-                "session %d admitted at t=%g (queued %g, %d qubits)",
-                session_id,
-                now,
-                now - pending.request.arrival_time,
-                sum(pending.qubits_needed.values()),
-            )
-            ledger.reserve(session_id, pending.qubits_needed)
-            record.start_time = now
-            record.finish_time = now + pending.duration
-            record.hold_time = (now - pending.request.arrival_time) / self.hold_time_unit
-            pending.admitted = True
-            pending.resolved = True
-            for sender, receiver in pending.route.hops():
-                self.topology.link(sender, receiver).classical_channel.broadcast(
-                    "scheduler",
-                    "route_reserved",
-                    {"session": session_id, "start": now, "finish": record.finish_time},
-                )
-            push(record.finish_time, _COMPLETION, pending)
-
-        while events:
-            now, kind, _, pending = heapq.heappop(events)
-            if kind == _TIMEOUT and pending.resolved:
-                # Stale timeout of an already-scheduled session: must not
-                # advance sim_time, or every run with max_wait set would have
-                # its horizon padded to last_arrival + max_wait and all
-                # throughput figures silently deflated.
-                continue
-            sim_time = max(sim_time, now)
-            if kind == _ARRIVAL:
-                if not ledger.viable(pending.qubits_needed):
-                    pending.resolved = True
-                    pending.record.abort_reason = "insufficient_capacity"
-                    telemetry.counter_inc(
-                        "scheduler.rejections", reason="insufficient_capacity"
-                    )
-                    _log.debug(
-                        "session %d rejected: needs more qubits than any node has",
-                        pending.request.session_id,
-                    )
-                elif ledger.fits(pending.qubits_needed):
-                    admit(pending, now)
-                else:
-                    queue.append(pending)
-                    telemetry.observe("scheduler.queue_depth", len(queue))
-            elif kind == _COMPLETION:
-                session_id = pending.request.session_id
-                ledger.release(session_id, pending.qubits_needed)
-                for sender, receiver in pending.route.hops():
-                    self.topology.link(sender, receiver).classical_channel.broadcast(
-                        "scheduler", "route_released", {"session": session_id}
-                    )
-                still_waiting = []
-                for waiting in queue:
-                    if not waiting.resolved and ledger.fits(waiting.qubits_needed):
-                        admit(waiting, now)
-                    elif not waiting.resolved:
-                        still_waiting.append(waiting)
-                queue = still_waiting
-            elif kind == _TIMEOUT:
-                pending.resolved = True
-                pending.record.abort_reason = "capacity_timeout"
-                telemetry.counter_inc(
-                    "scheduler.rejections", reason="capacity_timeout"
-                )
-                _log.debug(
-                    "session %d rejected: queued past max_wait=%g",
-                    pending.request.session_id,
-                    self.max_wait,
-                )
-                queue = [waiting for waiting in queue if waiting is not pending]
-
-        # With max_wait=None a queued session is always admitted eventually
-        # (reservations drain, and unviable requests were rejected on
-        # arrival); this is a defensive sweep, not an expected path.
-        for pending in queue:
-            if not pending.resolved:
-                pending.resolved = True
-                pending.record.abort_reason = "capacity_timeout"
-        return sim_time
-
-    def _dynamic_reservation_pass(self, pendings: list[_Pending]) -> float:
-        """Reservation under time-varying conditions and/or priority QoS.
-
-        A superset of :meth:`_reservation_pass` — same heap discipline, same
-        ledger, same admission bookkeeping — plus three condition-aware
-        behaviours, each evaluated at the session's admission time ``now``
-        so the pass stays a pure serial function of the seed:
+        definition of "this node can hold the session's pairs".  Three
+        condition-aware behaviours are evaluated at the session's admission
+        time ``now``, so the pass stays a pure serial function of the seed:
 
         * **re-routing**: a session whose route has a failure window
           intersecting ``[now, now + duration]`` is re-routed around the
@@ -607,9 +481,12 @@ class NetworkScheduler:
           queue is served by per-class virtual time instead of FIFO; every
           admission charges its capacity footprint to its class.
 
-        Invariant (pinned by the scheduler test battery): no admitted
-        session's route crosses a link or node inside a failure window at
-        any point of its reservation interval.
+        Under static conditions (``dynamics=None`` means
+        :meth:`NetworkDynamics.static`) and without a QoS policy the pass
+        reduces to FIFO admission on frozen channels.  Invariant (pinned by
+        the scheduler test battery): no admitted session's route crosses a
+        link or node inside a failure window at any point of its reservation
+        interval.
         """
         dynamics = self.dynamics if self.dynamics is not None else NetworkDynamics.static()
         selector = None if self.qos is None else self.qos.selector()
@@ -626,11 +503,11 @@ class NetworkScheduler:
             if pending.route is None:
                 pending.resolved = True  # rejected outright: no route
                 continue
-            push(pending.request.arrival_time, _DYN_ARRIVAL, pending)
+            push(pending.request.arrival_time, _ARRIVAL, pending)
             if self.max_wait is not None:
-                push(pending.request.arrival_time + self.max_wait, _DYN_TIMEOUT, pending)
+                push(pending.request.arrival_time + self.max_wait, _TIMEOUT, pending)
         for recovery_time in dynamics.recovery_times():
-            push(recovery_time, _DYN_RECOVERY, None)
+            push(recovery_time, _RECOVERY, None)
 
         queue: list[_Pending] = []
         sim_time = max((p.request.arrival_time for p in pendings), default=0.0)
@@ -731,12 +608,12 @@ class NetworkScheduler:
                     "route_reserved",
                     {"session": session_id, "start": now, "finish": record.finish_time},
                 )
-            push(record.finish_time, _DYN_COMPLETION, pending)
+            push(record.finish_time, _COMPLETION, pending)
 
         def service_queue(now: float) -> None:
             nonlocal queue
             if selector is None:
-                # FIFO — the static pass's discipline, with outage checks.
+                # FIFO, with outage checks.
                 still_waiting = []
                 for waiting in queue:
                     if waiting.resolved:
@@ -745,8 +622,8 @@ class NetworkScheduler:
                         still_waiting.append(waiting)
                     elif not ledger.viable(waiting.qubits_needed):
                         # Only reachable when re-routing grew the capacity
-                        # footprint past every node (static runs never hit
-                        # this: queued sessions were viable on arrival).
+                        # footprint past every node (without outages queued
+                        # sessions were viable on arrival).
                         reject(waiting, "insufficient_capacity")
                     elif ledger.fits(waiting.qubits_needed):
                         admit(waiting, now)
@@ -777,7 +654,7 @@ class NetworkScheduler:
 
         while events:
             now, kind, _, pending = heapq.heappop(events)
-            if kind == _DYN_RECOVERY:
+            if kind == _RECOVERY:
                 # An outage window ended: retry the queue.  Advances
                 # sim_time only when there is work to retry, so recovery
                 # events on an idle network don't pad the horizon.
@@ -786,12 +663,14 @@ class NetworkScheduler:
                     service_queue(now)
                 continue
             assert pending is not None
-            if kind == _DYN_TIMEOUT and pending.resolved:
-                # Stale timeout of an already-scheduled session (see the
-                # static pass for why it must not advance sim_time).
+            if kind == _TIMEOUT and pending.resolved:
+                # Stale timeout of an already-scheduled session: must not
+                # advance sim_time, or every run with max_wait set would have
+                # its horizon padded to last_arrival + max_wait and all
+                # throughput figures silently deflated.
                 continue
             sim_time = max(sim_time, now)
-            if kind == _DYN_ARRIVAL:
+            if kind == _ARRIVAL:
                 if not reroute(pending, now):
                     queue.append(pending)
                     telemetry.observe("scheduler.queue_depth", len(queue))
@@ -802,7 +681,7 @@ class NetworkScheduler:
                 else:
                     queue.append(pending)
                     telemetry.observe("scheduler.queue_depth", len(queue))
-            elif kind == _DYN_COMPLETION:
+            elif kind == _COMPLETION:
                 session_id = pending.request.session_id
                 ledger.release(session_id, pending.qubits_needed)
                 for sender, receiver in pending.route.hops():
@@ -810,15 +689,17 @@ class NetworkScheduler:
                         "scheduler", "route_released", {"session": session_id}
                     )
                 service_queue(now)
-            elif kind == _DYN_TIMEOUT:
+            elif kind == _TIMEOUT:
                 reject(
                     pending,
                     "outage_timeout" if pending.outage_blocked else "capacity_timeout",
                 )
                 queue = [waiting for waiting in queue if waiting is not pending]
 
-        # Defensive sweep (see the static pass); outage-blocked stragglers
-        # are labelled as such so the SLA decomposition attributes them.
+        # With max_wait=None a queued session is admitted once reservations
+        # drain or outages end, so this is a defensive sweep, not an expected
+        # path; outage-blocked stragglers are labelled as such so the SLA
+        # decomposition attributes them.
         for pending in queue:
             if not pending.resolved:
                 pending.resolved = True
@@ -851,8 +732,8 @@ class NetworkScheduler:
                 self.session_params,
                 seed=seed,
                 hold_time=pending.record.hold_time,
-                # Admission-time condition snapshots (None for static runs;
-                # the links' own channel objects under trivial dynamics).
+                # Admission-time condition snapshots (the links' own channel
+                # objects under static conditions).
                 channel_overrides=pending.channels,
             )
 

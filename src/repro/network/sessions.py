@@ -305,7 +305,7 @@ def run_session(
         queued; applied as storage hold on the first hop.
     channel_overrides:
         Optional per-hop quantum channels (route order), replacing each
-        link's static channel.  The dynamics scheduler snapshots drifted
+        link's static channel.  The scheduler snapshots drifted
         channel conditions at admission time and passes them here, which
         keeps the topology itself immutable during (possibly threaded)
         execution.  ``None`` uses the links' own channels.

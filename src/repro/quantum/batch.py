@@ -1,7 +1,7 @@
 """Batched circuit execution: structure keys, compiled propagators, results.
 
-The per-shot and per-instruction loops of :mod:`repro.quantum.simulator` are
-exact but slow on the paper's workloads, which re-run *structurally similar*
+Per-shot and per-instruction loops are exact but slow on the paper's
+workloads, which re-run *structurally similar*
 circuits thousands of times (the Fig. 3 sweep alone executes sixty circuits
 whose bulk is an identical η-long identity-gate chain).  This module provides
 the machinery that makes those workloads cheap:
@@ -27,7 +27,7 @@ Superoperators use the **row-stacking** convention: ``vec(rho)`` is
 set contributes ``sum_k K_k ⊗ conj(K_k)``.
 
 See ``docs/performance.md`` for the performance model and the guarantees the
-compiled path makes relative to the sequential reference implementation.
+compiled path makes relative to per-instruction evolution.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 
 #: Largest register (in qubits) for which the density path builds full
 #: superoperators.  A compiled superoperator is ``4**n x 4**n``; beyond this
-#: size composing it costs more than the sequential reference path saves.
+#: size composing it costs more than per-instruction evolution saves.
 MAX_SUPEROP_QUBITS = 4
 
 #: Largest register for which the statevector path folds the circuit into a

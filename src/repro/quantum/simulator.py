@@ -10,16 +10,15 @@ readout assignment errors — which is how the repository reproduces the
 ``ibm_brisbane`` executions of the paper's evaluation section without access
 to the hardware.
 
-Both simulators expose two execution paths:
-
-* :meth:`~StatevectorSimulator.run` — the sequential reference path, applying
-  one instruction at a time;
-* :meth:`~StatevectorSimulator.run_batch` — the batched path, which folds each
-  circuit into a cached propagator (see :mod:`repro.quantum.batch`) and
-  samples every circuit's counts with a single multinomial draw.  The batched
-  path computes the same final distribution as the sequential path up to
-  floating-point rounding; parity is asserted by
-  ``tests/quantum/test_batch.py``.
+Each simulator has one execution path, :meth:`~StatevectorSimulator.run_batch`;
+``run(c)`` is ``run_batch([c]).results[0]``.  A circuit narrow enough to
+compile is folded into a cached propagator (see :mod:`repro.quantum.batch`),
+so the η identity gates of the paper's channel emulation cost ``O(log η)``;
+wider circuits are evolved instruction by instruction, and statevector
+circuits with mid-circuit measurement or reset run shot by shot.  Every
+terminal-measurement circuit is sampled with one ``multinomial`` draw.
+``tests/quantum/reference_dense.py`` keeps a per-instruction oracle that the
+compiled path is checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.density import DensityMatrix
 from repro.quantum.noise_model import NoiseModel
 from repro.quantum.operators import Operator
-from repro.quantum.states import Statevector
+from repro.quantum.states import PROBABILITY_DUST, Statevector
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import as_rng
 
@@ -132,6 +131,52 @@ def _format_clbits(values: dict[int, int], num_clbits: int) -> str:
     return "".join(bits)
 
 
+def _measure_map(circuit: QuantumCircuit) -> dict[int, int]:
+    """``qubit -> clbit`` of a circuit's (terminal) measurements."""
+    measure_map: dict[int, int] = {}
+    for instruction in circuit.instructions:
+        if instruction.kind == "measure":
+            for qubit, clbit in zip(instruction.qubits, instruction.clbits):
+                measure_map[qubit] = clbit
+    return measure_map
+
+
+def _record_batch(
+    engine: str,
+    method: str,
+    cache: PropagatorCache,
+    cache_before: tuple[int, int],
+    mark,
+    modes: set[str],
+    results: list[SimulationResult],
+    shots: int,
+    **metadata,
+) -> BatchResult:
+    """Close a dense batch: one ``sim.run_batch`` span and the :class:`BatchResult`.
+
+    ``mode`` is the batch's one execution mode (``compiled``,
+    ``per_instruction`` or ``per_shot``), or ``mixed`` when its circuits took
+    more than one.
+    """
+    mode = "mixed" if len(modes) > 1 else next(iter(modes), "compiled")
+    statistics = {
+        "circuits": len(results),
+        "cache_hits": cache.hits - cache_before[0],
+        "cache_misses": cache.misses - cache_before[1],
+    }
+    telemetry.record_span(
+        "sim.run_batch",
+        "sim",
+        start=mark,
+        attributes={"engine": engine, "mode": mode, **statistics},
+    )
+    return BatchResult(
+        results=results,
+        shots=shots,
+        metadata={"method": method, "mode": mode, **metadata, **statistics},
+    )
+
+
 class StatevectorSimulator:
     """Exact, noise-free circuit execution on statevectors.
 
@@ -157,25 +202,10 @@ class StatevectorSimulator:
         initial_state: Statevector | None = None,
         rng=None,
     ) -> SimulationResult:
-        """Execute *circuit* and sample *shots* measurement outcomes.
-
-        Circuits whose measurements are all terminal (no gate touches a
-        measured qubit afterwards) are simulated once and sampled
-        analytically; circuits with mid-circuit measurement or reset fall back
-        to per-shot Monte Carlo execution.
-        """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
-        generator = as_rng(rng) if rng is not None else self._rng
-        state = self._initial_state(circuit, initial_state)
-
-        if not circuit.has_measurements() and not self._has_nonunitary(circuit):
-            final = self._apply_gates(circuit, state)
-            return SimulationResult(counts={}, shots=0, statevector=final)
-
-        if self._measurements_are_terminal(circuit) and not self._has_nonunitary(circuit):
-            return self._run_terminal(circuit, state, shots, generator)
-        return self._run_per_shot(circuit, state, shots, generator)
+        """Execute *circuit* and sample *shots* outcomes: a batch of one."""
+        return self.run_batch(
+            [circuit], shots=shots, initial_state=initial_state, rng=rng
+        ).results[0]
 
     def run_batch(
         self,
@@ -184,12 +214,14 @@ class StatevectorSimulator:
         initial_state: Statevector | None = None,
         rng=None,
     ) -> BatchResult:
-        """Execute a sequence of circuits through the batched (compiled) path.
+        """Execute a sequence of circuits and sample *shots* outcomes of each.
 
-        Each eligible circuit — terminal measurements, no resets, at most
-        :data:`~repro.quantum.batch.MAX_UNITARY_QUBITS` qubits — is folded
-        into a single cached unitary and its counts are sampled with one
-        multinomial draw; ineligible circuits fall back to :meth:`run`.
+        A circuit whose measurements are all terminal and which has no reset
+        is simulated once and sampled with one multinomial draw: folded into
+        a single cached unitary when it has at most
+        :data:`~repro.quantum.batch.MAX_UNITARY_QUBITS` qubits, evolved gate
+        by gate otherwise.  Circuits with mid-circuit measurement or reset
+        run per-shot Monte Carlo.
 
         Parameters
         ----------
@@ -211,50 +243,39 @@ class StatevectorSimulator:
         if shots < 0:
             raise SimulationError(f"shots must be non-negative, got {shots}")
         generator = as_rng(rng) if rng is not None else self._rng
-        hits_before, misses_before = self._cache.hits, self._cache.misses
+        cache_before = (self._cache.hits, self._cache.misses)
         mark = telemetry.clock_mark()
+        modes: set[str] = set()
         results = []
         for circuit in circuits:
-            if (
-                circuit.num_qubits > MAX_UNITARY_QUBITS
-                or self._has_nonunitary(circuit)
-                or not self._measurements_are_terminal(circuit)
-            ):
-                results.append(
-                    self.run(circuit, shots=shots, initial_state=initial_state, rng=generator)
-                )
-                continue
-            compiled = compile_unitary(circuit, self._cache)
             state = self._initial_state(circuit, initial_state)
-            final = Statevector(compiled.matrix @ state.vector)
+            if self._has_nonunitary(circuit) or not measurements_are_terminal(circuit):
+                modes.add("per_shot")
+                results.append(self._run_per_shot(circuit, state, shots, generator))
+                continue
+            if circuit.num_qubits > MAX_UNITARY_QUBITS:
+                modes.add("per_instruction")
+                final = self._apply_gates(circuit, state)
+                measure_map = _measure_map(circuit)
+            else:
+                modes.add("compiled")
+                compiled = compile_unitary(circuit, self._cache)
+                final = Statevector(compiled.matrix @ state.vector)
+                measure_map = compiled.measure_map
             results.append(
                 self._sample_terminal(
-                    final,
-                    compiled.measure_map,
-                    circuit.num_clbits,
-                    shots,
-                    generator,
+                    final, measure_map, circuit.num_clbits, shots, generator
                 )
             )
-        telemetry.record_span(
-            "sim.run_batch",
-            "sim",
-            start=mark,
-            attributes={
-                "method": "statevector_batch",
-                "circuits": len(results),
-                "cache_hits": self._cache.hits - hits_before,
-                "cache_misses": self._cache.misses - misses_before,
-            },
-        )
-        return BatchResult(
-            results=results,
-            shots=shots,
-            metadata={
-                "method": "statevector_batch",
-                "cache_hits": self._cache.hits - hits_before,
-                "cache_misses": self._cache.misses - misses_before,
-            },
+        return _record_batch(
+            "statevector",
+            "statevector_batch",
+            self._cache,
+            cache_before,
+            mark,
+            modes,
+            results,
+            shots,
         )
 
     def final_statevector(
@@ -287,11 +308,6 @@ class StatevectorSimulator:
         return any(instruction.kind == "reset" for instruction in circuit.instructions)
 
     @staticmethod
-    def _measurements_are_terminal(circuit: QuantumCircuit) -> bool:
-        """True if no gate or reset acts on a qubit after it has been measured."""
-        return measurements_are_terminal(circuit)
-
-    @staticmethod
     def _apply_gates(circuit: QuantumCircuit, state: Statevector) -> Statevector:
         for instruction in circuit.instructions:
             if instruction.kind == "gate" and instruction.gate is not None:
@@ -305,29 +321,6 @@ class StatevectorSimulator:
                     f"unexpected instruction {instruction.kind!r} in unitary-only path"
                 )
         return state
-
-    def _run_terminal(
-        self,
-        circuit: QuantumCircuit,
-        state: Statevector,
-        shots: int,
-        generator: np.random.Generator,
-    ) -> SimulationResult:
-        # Apply every gate, ignoring the (terminal) measurements, then sample.
-        final = state
-        measure_map: dict[int, int] = {}
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.gate is not None:
-                operator = Operator(instruction.gate.matrix)
-                for _ in range(instruction.repetitions):
-                    final = final.apply_operator(operator, instruction.qubits)
-            elif instruction.kind == "measure":
-                for qubit, clbit in zip(instruction.qubits, instruction.clbits):
-                    measure_map[qubit] = clbit
-
-        return self._sample_terminal(
-            final, measure_map, circuit.num_clbits, shots, generator
-        )
 
     @staticmethod
     def _sample_terminal(
@@ -437,37 +430,14 @@ class DensityMatrixSimulator:
         initial_state: "DensityMatrix | Statevector | None" = None,
         rng=None,
     ) -> SimulationResult:
-        """Execute *circuit* under the configured noise model and sample counts.
+        """Execute *circuit* under the noise model and sample counts: a batch of one.
 
         Measurements must be terminal (the protocol circuits satisfy this);
         mid-circuit measurement raises :class:`SimulationError`.
         """
-        if shots < 0:
-            raise SimulationError(f"shots must be non-negative, got {shots}")
-        generator = as_rng(rng) if rng is not None else self._rng
-        state = self._initial_state(circuit, initial_state)
-
-        if not StatevectorSimulator._measurements_are_terminal(circuit):
-            raise SimulationError(
-                "DensityMatrixSimulator supports only terminal measurements"
-            )
-
-        measure_map: dict[int, int] = {}
-        for instruction in circuit.instructions:
-            if instruction.kind == "gate" and instruction.gate is not None:
-                for _ in range(instruction.repetitions):
-                    state = self._apply_gate(state, instruction)
-            elif instruction.kind == "reset":
-                state = self._apply_reset(state, instruction.qubits[0])
-            elif instruction.kind == "measure":
-                for qubit, clbit in zip(instruction.qubits, instruction.clbits):
-                    measure_map[qubit] = clbit
-            elif instruction.kind == "barrier":
-                continue
-
-        return self._sample_measurements(
-            state, measure_map, circuit.num_clbits, shots, generator
-        )
+        return self.run_batch(
+            [circuit], shots=shots, initial_state=initial_state, rng=rng
+        ).results[0]
 
     def run_batch(
         self,
@@ -476,17 +446,17 @@ class DensityMatrixSimulator:
         initial_state: "DensityMatrix | Statevector | None" = None,
         rng=None,
     ) -> BatchResult:
-        """Execute a sequence of circuits through the batched (compiled) path.
+        """Execute a sequence of circuits and sample *shots* outcomes of each.
 
-        Each eligible circuit — terminal measurements, at most
-        :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS` qubits — is folded
-        into a single cached superoperator (gates, attached noise-model
-        errors and resets included) and its counts are sampled with one
-        multinomial draw.  Runs of repeated instructions, such as the η
+        Each circuit of at most
+        :data:`~repro.quantum.batch.MAX_SUPEROP_QUBITS` qubits is folded into
+        a single cached superoperator (gates, attached noise-model errors and
+        resets included).  Runs of repeated instructions, such as the η
         identity gates of the paper's channel emulation, are collapsed with
         ``matrix_power``, so cost grows logarithmically rather than linearly
-        with η.  Circuits too large for a superoperator fall back to
-        :meth:`run`.
+        with η.  Wider circuits are evolved instruction by instruction
+        (:meth:`final_density_matrix`).  Either way the counts are sampled
+        with one multinomial draw.
 
         Parameters
         ----------
@@ -508,51 +478,40 @@ class DensityMatrixSimulator:
         if shots < 0:
             raise SimulationError(f"shots must be non-negative, got {shots}")
         generator = as_rng(rng) if rng is not None else self._rng
-        hits_before, misses_before = self._cache.hits, self._cache.misses
+        cache_before = (self._cache.hits, self._cache.misses)
         mark = telemetry.clock_mark()
+        modes: set[str] = set()
         results = []
         for circuit in circuits:
-            if not StatevectorSimulator._measurements_are_terminal(circuit):
+            if not measurements_are_terminal(circuit):
                 raise SimulationError(
                     "DensityMatrixSimulator supports only terminal measurements"
                 )
             if circuit.num_qubits > MAX_SUPEROP_QUBITS:
-                results.append(
-                    self.run(circuit, shots=shots, initial_state=initial_state, rng=generator)
-                )
-                continue
-            compiled = compile_channel(circuit, self.noise_model, self._cache)
-            state = self._initial_state(circuit, initial_state)
-            final = DensityMatrix(compiled.propagate(state.matrix), validate=False)
+                modes.add("per_instruction")
+                final = self.final_density_matrix(circuit, initial_state)
+                measure_map = _measure_map(circuit)
+            else:
+                modes.add("compiled")
+                compiled = compile_channel(circuit, self.noise_model, self._cache)
+                state = self._initial_state(circuit, initial_state)
+                final = DensityMatrix(compiled.propagate(state.matrix), validate=False)
+                measure_map = compiled.measure_map
             results.append(
                 self._sample_measurements(
-                    final,
-                    compiled.measure_map,
-                    circuit.num_clbits,
-                    shots,
-                    generator,
+                    final, measure_map, circuit.num_clbits, shots, generator
                 )
             )
-        telemetry.record_span(
-            "sim.run_batch",
-            "sim",
-            start=mark,
-            attributes={
-                "method": "density_matrix_batch",
-                "circuits": len(results),
-                "cache_hits": self._cache.hits - hits_before,
-                "cache_misses": self._cache.misses - misses_before,
-            },
-        )
-        return BatchResult(
-            results=results,
-            shots=shots,
-            metadata={
-                "method": "density_matrix_batch",
-                "noise_model": None if self.noise_model is None else self.noise_model.name,
-                "cache_hits": self._cache.hits - hits_before,
-                "cache_misses": self._cache.misses - misses_before,
-            },
+        return _record_batch(
+            "dense",
+            "density_matrix_batch",
+            self._cache,
+            cache_before,
+            mark,
+            modes,
+            results,
+            shots,
+            noise_model=None if self.noise_model is None else self.noise_model.name,
         )
 
     def _sample_measurements(
@@ -566,14 +525,15 @@ class DensityMatrixSimulator:
         """Sample counts (readout errors included) from a final mixed state.
 
         Seed handling: *generator* is always the explicit
-        :class:`numpy.random.Generator` resolved by the calling ``run`` /
-        ``run_batch`` — the caller's ``rng`` argument when given, else the
-        simulator's own seeded stream.  Exactly one ``multinomial`` draw is
-        consumed per sampled circuit, so a fixed seed yields bit-identical
-        counts across runs, platforms and the sequential/batched/stabilizer
-        execution paths (asserted by
-        ``tests/quantum/test_simulation_result.py`` and the cross-backend
-        conformance suite).
+        :class:`numpy.random.Generator` resolved by :meth:`run_batch` — the
+        caller's ``rng`` argument when given, else the simulator's own seeded
+        stream.  Exactly one ``multinomial`` draw is consumed per sampled
+        circuit, and probabilities below
+        :data:`~repro.quantum.states.PROBABILITY_DUST` are zeroed first, so
+        a fixed seed yields bit-identical counts across runs, platforms, the
+        compiled and per-instruction evolutions, and the stabilizer engine
+        (asserted by ``tests/quantum/test_simulation_result.py`` and the
+        cross-backend conformance suite).
         """
         if not measure_map:
             return SimulationResult(
@@ -588,6 +548,7 @@ class DensityMatrixSimulator:
                 probabilities, measured_qubits
             )
             probabilities = renormalize_readout_probabilities(probabilities)
+        probabilities[probabilities < PROBABILITY_DUST] = 0.0
 
         samples = generator.multinomial(shots, probabilities)
         counts: dict[str, int] = {}

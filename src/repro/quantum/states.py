@@ -22,9 +22,16 @@ from repro.exceptions import DimensionError, NonPhysicalStateError
 from repro.quantum.operators import Operator, PAULI_MATRICES
 from repro.utils.rng import as_rng
 
-__all__ = ["Statevector"]
+__all__ = ["PROBABILITY_DUST", "Statevector"]
 
 _ATOL = 1e-10
+
+#: Outcome probabilities below this are floating-point dust (e.g. ~1e-33 on
+#: outcomes a noiseless circuit cannot produce).  The dense samplers zero them
+#: before their ``multinomial`` draw: a zero-probability category consumes no
+#: generator state, so a stream shared with the stabilizer engine (whose
+#: impossible outcomes are exact zeros) stays aligned.
+PROBABILITY_DUST = 1e-15
 
 #: Single-qubit kets addressable by label character.
 _LABEL_KETS: dict[str, np.ndarray] = {
@@ -238,6 +245,7 @@ class Statevector:
         targets = list(range(self._num_qubits)) if qubits is None else list(qubits)
         probs = self.probabilities(targets)
         probs = probs / probs.sum()
+        probs[probs < PROBABILITY_DUST] = 0.0
         generator = as_rng(rng)
         outcomes = generator.multinomial(shots, probs)
         width = len(targets)

@@ -36,7 +36,9 @@ from repro.network import (
     link_key,
     simulate_network,
 )
+from repro.network.scheduler import NetworkScheduler
 from repro.network.sessions import SessionParameters
+from tests.network.reference_reservation import ReferenceScheduler
 
 PARAMS = SessionParameters(identity_pairs=1, check_pairs_per_round=16)
 CLASSES = ("control", "interactive", "bulk")
@@ -195,33 +197,51 @@ class TestOutageSafety:
 
 
 class TestMetamorphic:
-    def _run(self, *, dynamics=None, qos=None, executor="serial"):
+    def _run(
+        self,
+        *,
+        dynamics=None,
+        qos=None,
+        executor="serial",
+        scheduler=NetworkScheduler,
+        rate=1500.0,
+        max_wait=0.05,
+    ):
         topology = _topology()
         traffic = PoissonTraffic(
             num_sessions=30,
-            rate=1500.0,
+            rate=rate,
             message_length=8,
             priority_mix={name: 1.0 for name in CLASSES},
         )
-        return simulate_network(
+        return scheduler(
             topology,
-            traffic,
             session_params=PARAMS,
-            max_wait=0.05,
+            max_wait=max_wait,
             seed=9,
             executor=executor,
             dynamics=dynamics,
             qos=qos,
-        )
+        ).run(traffic)
 
-    def test_trivial_dynamics_bit_identical_to_static(self):
-        """The dynamic reservation pass degenerates exactly to the static one."""
-        static = self._run()
-        trivial = self._run(dynamics=NetworkDynamics.static())
-        assert json.dumps(static.summary(), sort_keys=True) == json.dumps(
-            trivial.summary(), sort_keys=True
+    @pytest.mark.parametrize(
+        "rate, max_wait",
+        [(1500.0, 0.05), (5000.0, 0.005), (5000.0, None)],
+        ids=["queueing", "timeouts", "patient"],
+    )
+    @pytest.mark.parametrize("dynamics", [None, NetworkDynamics.static()], ids=["none", "static"])
+    def test_trivial_dynamics_bit_identical_to_static(self, dynamics, rate, max_wait):
+        """Static conditions without QoS reproduce the frozen FIFO reference pass."""
+        reference = self._run(scheduler=ReferenceScheduler, rate=rate, max_wait=max_wait)
+        assert any(record.hold_time for record in reference.records), (
+            "the traffic must queue sessions behind full memories"
         )
-        for left, right in zip(static.records, trivial.records):
+        result = self._run(dynamics=dynamics, rate=rate, max_wait=max_wait)
+        assert result.sim_time == reference.sim_time
+        assert json.dumps(result.summary(), sort_keys=True) == json.dumps(
+            reference.summary(), sort_keys=True
+        )
+        for left, right in zip(result.records, reference.records, strict=True):
             assert left.summary() == right.summary()
 
     def test_uniform_weight_scaling_changes_nothing(self):

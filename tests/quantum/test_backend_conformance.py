@@ -1,13 +1,14 @@
 """Cross-backend conformance battery.
 
 One parameterised suite runs protocol-shaped Clifford circuits against every
-execution path in the tree —
+engine in the tree and the per-instruction oracles of
+``tests/quantum/reference_dense.py`` —
 
-* ``StatevectorSimulator.run`` (sequential reference),
-* ``StatevectorSimulator.run_batch`` (compiled unitaries),
-* ``DensityMatrixSimulator.run`` (sequential superoperators),
-* ``DensityMatrixSimulator.run_batch`` (compiled superoperators),
+* ``StatevectorSimulator`` (compiled unitaries; ``run`` is a batch of one),
+* ``DensityMatrixSimulator`` (compiled superoperators, per-instruction
+  evolution past ``MAX_SUPEROP_QUBITS``),
 * ``StabilizerSimulator`` (tableau; analytic and trajectory modes),
+* the per-instruction statevector and density-matrix references,
 
 and pins two levels of agreement:
 
@@ -38,6 +39,10 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
 from repro.quantum.stabilizer import StabilizerSimulator
+from tests.quantum.reference_dense import (
+    reference_density_counts,
+    reference_statevector_counts,
+)
 
 SHOTS = 2048
 
@@ -196,24 +201,41 @@ class TestNoiselessExactConformance:
                 DensityMatrixSimulator(seed=seed).run_batch([build()], shots=SHOTS)[0]
             ),
             "stabilizer": StabilizerSimulator(seed=seed).run(circuit, shots=SHOTS).counts,
+            "statevector_per_instruction": reference_statevector_counts(
+                circuit, SHOTS, np.random.default_rng(seed)
+            ),
+            "density_per_instruction": reference_density_counts(
+                circuit, None, SHOTS, np.random.default_rng(seed)
+            ),
         }
         for name, counts in paths.items():
             assert counts == reference, f"{name} diverged from the dense reference"
 
     def test_shared_rng_stream_stays_aligned_across_backends(self):
-        # Interleaving runs on one generator: the stabilizer path consumes
-        # exactly one multinomial per circuit, like the dense path, so a
-        # shared stream stays in lockstep.
-        circuits = [message_transfer(m) for m in ("00", "01", "10", "11")]
+        # Interleaving runs on one generator: every engine consumes exactly
+        # one multinomial per circuit and draws nothing for impossible
+        # outcomes (the dense samplers zero float dust such as the ~1e-33
+        # message_transfer leaves on them), so a shared stream stays in
+        # lockstep — the random H⊗H outcomes after each deterministic
+        # circuit would diverge otherwise.
+        coin = QuantumCircuit(2, name="h_h")
+        coin.h(0)
+        coin.h(1)
+        coin.measure_all()
+        circuits = []
+        for message in ("00", "01", "10", "11"):
+            circuits += [message_transfer(message), coin]
         rng_dense = np.random.default_rng(99)
+        rng_statevector = np.random.default_rng(99)
         rng_stab = np.random.default_rng(99)
         dense = DensityMatrixSimulator()
+        statevector = StatevectorSimulator()
         stab = StabilizerSimulator()
         for circuit in circuits:
             a = dense.run(circuit, shots=256, rng=rng_dense).counts
             b = stab.run(circuit, shots=256, rng=rng_stab).counts
-            assert a == b
-
+            c = statevector.run(circuit, shots=256, rng=rng_statevector).counts
+            assert a == b == c
 
 class TestPauliNoiseConformance:
     @pytest.mark.parametrize("build", NOISY_BATTERY)

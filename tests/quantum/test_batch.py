@@ -1,9 +1,9 @@
-"""Parity and determinism tests for the batched simulation path.
+"""Parity and determinism tests for the dense simulators' one execution path.
 
-The batched path (``run_batch`` + compiled propagators) must produce the same
-final distributions as the sequential reference path (``run``) under
-identical seeds — bit-for-bit when the probability vectors agree to float
-precision, statistically always.
+``run`` is a batch of one, and ``run_batch`` folds every narrow circuit into
+a compiled propagator.  Both must reproduce the per-instruction oracle in
+``tests/quantum/reference_dense.py`` under identical seeds — bit for bit
+when the probability vectors agree to float precision, statistically always.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from repro.device.device_model import DeviceModel
 from repro.exceptions import SimulationError
 from repro.experiments.emulation import build_message_transfer_circuit
 from repro.quantum.batch import (
+    MAX_SUPEROP_QUBITS,
+    MAX_UNITARY_QUBITS,
     BatchResult,
     PropagatorCache,
     circuit_structure_key,
@@ -27,12 +29,28 @@ from repro.quantum.channels import depolarizing_channel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise_model import NoiseModel, ReadoutError
 from repro.quantum.simulator import DensityMatrixSimulator, StatevectorSimulator
+from repro.telemetry import runtime as telemetry
+from tests.quantum.reference_dense import (
+    reference_density_counts,
+    reference_statevector_counts,
+)
 
 
 def _bell_circuit() -> QuantumCircuit:
     circuit = QuantumCircuit(2)
     circuit.h(0)
     circuit.cx(0, 1)
+    circuit.measure_all()
+    return circuit
+
+
+def _wide_circuit(num_qubits: int) -> QuantumCircuit:
+    """A GHZ-then-rotate circuit, too wide for the compiled propagators."""
+    circuit = QuantumCircuit(num_qubits)
+    circuit.h(0)
+    for qubit in range(1, num_qubits):
+        circuit.cx(qubit - 1, qubit)
+    circuit.rx(0.4, num_qubits - 1)
     circuit.measure_all()
     return circuit
 
@@ -209,11 +227,25 @@ class TestStatevectorBatchParity:
     def test_counts_match_sequential_path_under_fixed_seed(self):
         circuit = build_message_transfer_circuit("01", eta=25)
         simulator = StatevectorSimulator()
-        sequential = simulator.run(circuit, shots=2048, rng=np.random.default_rng(11))
+        reference = reference_statevector_counts(
+            circuit, 2048, np.random.default_rng(11)
+        )
+        single = simulator.run(circuit, shots=2048, rng=np.random.default_rng(11))
         batched = simulator.run_batch(
             [circuit], shots=2048, rng=np.random.default_rng(11)
         )[0]
-        assert batched.counts == sequential.counts
+        assert single.counts == reference
+        assert batched.counts == reference
+
+    def test_wide_circuits_evolve_per_instruction(self):
+        circuit = _wide_circuit(MAX_UNITARY_QUBITS + 1)
+        batch = StatevectorSimulator().run_batch(
+            [circuit], shots=512, rng=np.random.default_rng(12)
+        )
+        assert batch.metadata["mode"] == "per_instruction"
+        assert batch[0].counts == reference_statevector_counts(
+            circuit, 512, np.random.default_rng(12)
+        )
 
     def test_batch_preserves_submission_order(self):
         circuits = [
@@ -228,17 +260,20 @@ class TestStatevectorBatchParity:
             assert sum(result.counts.values()) == 64
             assert len(result.counts) == 1
 
-    def test_mid_circuit_measurement_falls_back_to_run(self):
+    def test_mid_circuit_measurement_runs_per_shot(self):
         circuit = QuantumCircuit(1)
         circuit.h(0)
         circuit.measure([0], [0])
         circuit.x(0)
         simulator = StatevectorSimulator()
-        sequential = simulator.run(circuit, shots=256, rng=np.random.default_rng(4))
-        batched = simulator.run_batch(
-            [circuit], shots=256, rng=np.random.default_rng(4)
-        )[0]
-        assert batched.counts == sequential.counts
+        single = simulator.run(circuit, shots=256, rng=np.random.default_rng(4))
+        batch = simulator.run_batch(
+            [circuit, _bell_circuit()], shots=256, rng=np.random.default_rng(4)
+        )
+        assert batch.metadata["mode"] == "mixed"
+        assert batch[0].counts == single.counts
+        assert batch[0].metadata["terminal_sampling"] is False
+        assert set(single.counts) == {"0", "1"}
 
     def test_negative_shots_rejected(self):
         with pytest.raises(SimulationError):
@@ -251,27 +286,32 @@ class TestDensityBatchParity:
         return DeviceModel.ibm_brisbane().noise_model()
 
     def test_counts_match_sequential_path_under_fixed_seed(self, noise):
-        # The compiled and sequential paths compute the same probability
-        # vector to ~1e-14, so the same generator state draws the same
-        # multinomial sample, readout errors included.
+        # The compiled and per-instruction evolutions compute the same
+        # probability vector to ~1e-14, so the same generator state draws
+        # the same multinomial sample, readout errors included.
         circuit = build_message_transfer_circuit("11", eta=120)
         simulator = DensityMatrixSimulator(noise_model=noise)
-        sequential = simulator.run(circuit, shots=4096, rng=np.random.default_rng(23))
+        reference = reference_density_counts(
+            circuit, noise, 4096, np.random.default_rng(23)
+        )
+        single = simulator.run(circuit, shots=4096, rng=np.random.default_rng(23))
         batched = simulator.run_batch(
             [circuit], shots=4096, rng=np.random.default_rng(23)
         )[0]
-        assert batched.counts == sequential.counts
+        assert single.counts == reference
+        assert batched.counts == reference
 
     def test_statistical_consistency_across_seeds(self, noise):
-        # Different seeds: the two paths must still sample the same
-        # distribution (TV distance small at large shot counts).
+        # Different seeds: the compiled path must still sample the
+        # reference distribution (TV distance small at large shot counts).
         circuit = build_message_transfer_circuit("00", eta=200)
-        simulator = DensityMatrixSimulator(noise_model=noise)
-        sequential = simulator.run(circuit, shots=8192, rng=np.random.default_rng(1))
-        batched = simulator.run_batch(
+        reference = reference_density_counts(
+            circuit, noise, 8192, np.random.default_rng(1)
+        )
+        batched = DensityMatrixSimulator(noise_model=noise).run_batch(
             [circuit], shots=8192, rng=np.random.default_rng(2)
         )[0]
-        assert _total_variation(sequential.counts, batched.counts) < 0.03
+        assert _total_variation(reference, batched.counts) < 0.03
 
     def test_reset_instruction_parity(self):
         circuit = QuantumCircuit(2)
@@ -279,12 +319,22 @@ class TestDensityBatchParity:
         circuit.cx(0, 1)
         circuit.reset(0)
         circuit.measure_all()
-        simulator = DensityMatrixSimulator()
-        sequential = simulator.run(circuit, shots=512, rng=np.random.default_rng(9))
-        batched = simulator.run_batch(
+        batched = DensityMatrixSimulator().run_batch(
             [circuit], shots=512, rng=np.random.default_rng(9)
         )[0]
-        assert batched.counts == sequential.counts
+        assert batched.counts == reference_density_counts(
+            circuit, None, 512, np.random.default_rng(9)
+        )
+
+    def test_wide_circuits_evolve_per_instruction(self, noise):
+        circuit = _wide_circuit(MAX_SUPEROP_QUBITS + 1)
+        batch = DensityMatrixSimulator(noise_model=noise).run_batch(
+            [circuit], shots=512, rng=np.random.default_rng(13)
+        )
+        assert batch.metadata["mode"] == "per_instruction"
+        assert batch[0].counts == reference_density_counts(
+            circuit, noise, 512, np.random.default_rng(13)
+        )
 
     def test_readout_errors_are_applied(self):
         noise = NoiseModel("readout_only").add_readout_error(ReadoutError.symmetric(0.25))
@@ -377,7 +427,7 @@ class TestDensityBatchParity:
 
 
 class TestBackendBatch:
-    def test_backend_run_batch_matches_single_runs_statistically(self):
+    def test_backend_run_and_run_batch_match_the_reference(self):
         from repro.device.backend import NoisyBackend
 
         circuits = [
@@ -385,11 +435,15 @@ class TestBackendBatch:
             for message in ("00", "01", "10", "11")
         ]
         batched = NoisyBackend(seed=3).run_batch(circuits, shots=4096)
-        sequential = [
-            NoisyBackend(seed=3).run(circuit, shots=4096) for circuit in circuits
+        backend = NoisyBackend(seed=3)
+        single = [backend.run(circuit, shots=4096) for circuit in circuits]
+        rng = np.random.default_rng(3)
+        reference = [
+            reference_density_counts(circuit, backend.noise_model, 4096, rng)
+            for circuit in circuits
         ]
-        for got, want in zip(batched, sequential):
-            assert _total_variation(dict(got), dict(want)) < 0.05
+        assert [dict(counts) for counts in batched] == reference
+        assert [dict(counts) for counts in single] == reference
 
     def test_backend_records_one_job_per_circuit(self):
         from repro.device.backend import NoisyBackend
@@ -397,4 +451,21 @@ class TestBackendBatch:
         backend = NoisyBackend(seed=1)
         circuits = [build_message_transfer_circuit("00", eta=3)] * 3
         backend.run_batch(circuits, shots=16)
-        assert len(backend.jobs) == 3
+        backend.run(circuits[0], shots=16)
+        assert len(backend.jobs) == 4
+        assert backend.jobs[-1].metadata["backend"] == "dense"
+
+    def test_backend_run_records_one_compiled_dense_span(self):
+        # A Fig. 3 circuit under the ibm_brisbane noise reaches the dense
+        # simulator through run_batch: one span, compiled.
+        from repro.device.backend import NoisyBackend
+
+        backend = NoisyBackend(seed=2)
+        circuit = build_message_transfer_circuit("10", eta=700)
+        with telemetry.capture(clock="ticks") as session:
+            backend.run(circuit, shots=256)
+        spans = [s for s in session.document.spans if s.name == "sim.run_batch"]
+        assert len(spans) == 1
+        assert spans[0].attributes["engine"] == "dense"
+        assert spans[0].attributes["mode"] == "compiled"
+        assert spans[0].attributes["circuits"] == 1
