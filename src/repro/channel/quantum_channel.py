@@ -29,9 +29,10 @@ from repro.device.calibration import (
     IBM_BRISBANE_T1,
     IBM_BRISBANE_T2,
 )
-from repro.exceptions import ChannelError
+from repro.exceptions import ChannelError, NoiseModelError
 from repro.quantum.channels import (
     KrausChannel,
+    check_relaxation_times,
     depolarizing_channel,
     identity_channel,
     thermal_relaxation_channel,
@@ -212,8 +213,13 @@ class IdentityChainChannel(QuantumChannel):
             raise ChannelError(f"eta must be non-negative, got {self.eta}")
         if not 0.0 <= self.gate_error <= 1.0:
             raise ChannelError("gate_error must lie in [0, 1]")
-        if self.gate_duration < 0:
-            raise ChannelError("gate_duration must be non-negative")
+        if not 0.0 <= self.gate_duration < math.inf:
+            raise ChannelError("gate_duration must be finite and non-negative")
+        if self.include_thermal_relaxation:
+            try:
+                check_relaxation_times(self.t1, self.t2, self.gate_duration)
+            except NoiseModelError as error:
+                raise ChannelError(str(error)) from error
         self.name = f"identity_chain(eta={self.eta})"
 
     # -- analytic quantities ---------------------------------------------------------
@@ -297,12 +303,14 @@ class FiberLossChannel(QuantumChannel):
     speed_km_per_s: float = 2.0e5
 
     def __post_init__(self):
-        if self.length_km < 0:
+        if not self.length_km >= 0:
             raise ChannelError("length_km must be non-negative")
-        if self.attenuation_db_per_km < 0:
+        if not self.attenuation_db_per_km >= 0:
             raise ChannelError("attenuation must be non-negative")
         if not 0.0 <= self.dephasing_per_km <= 1.0:
             raise ChannelError("dephasing_per_km must lie in [0, 1]")
+        if not 0.0 < self.speed_km_per_s < math.inf:
+            raise ChannelError("speed_km_per_s must be finite and positive")
         self.name = f"fiber(length={self.length_km}km)"
 
     def transmission_probability(self) -> float:
@@ -314,8 +322,6 @@ class FiberLossChannel(QuantumChannel):
 
     def duration(self) -> float:
         """Propagation delay of the fibre."""
-        if self.speed_km_per_s <= 0:
-            raise ChannelError("speed_km_per_s must be positive")
         return self.length_km / self.speed_km_per_s
 
     def single_use_channel(self) -> KrausChannel:

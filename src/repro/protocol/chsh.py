@@ -20,6 +20,7 @@ DESIGN.md so that the ideal value is exactly ``2√2``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -28,9 +29,9 @@ from repro.quantum.bell import CLASSICAL_CHSH_BOUND, TSIRELSON_BOUND
 from repro.quantum.density import DensityMatrix
 from repro.quantum.measurement import (
     equatorial_observable,
-    measure_observable,
     observable_branches,
     observable_probability,
+    state_key,
 )
 from repro.quantum.states import Statevector
 from repro.utils.rng import as_rng
@@ -127,6 +128,20 @@ class CHSHEstimate:
         )
 
 
+#: Bounded memo of per-pair branch statistics keyed by ``(settings, alice
+#: setting, bob setting, state_key(pair))``.  A session measures hundreds of
+#: identical Bell-pair states, so the eigenprojector applications run once per
+#: distinct (state, setting pair) instead of once per pair.  Each entry is
+#: ``(p_alice_plus, p_bob_plus | alice=+1, p_bob_plus | alice=−1)`` as computed
+#: by :func:`~repro.quantum.measurement.observable_branches` — the same floats
+#: :func:`~repro.quantum.measurement.measure_observable` draws against — and
+#: ``None`` marks a zero-probability branch (only an error if drawn).  Inserts
+#: hold the lock so concurrent misses cannot push the table past its bound.
+_BRANCH_CACHE: dict[tuple, tuple] = {}
+_BRANCH_CACHE_MAX = 1024
+_BRANCH_CACHE_LOCK = threading.Lock()
+
+
 @dataclass
 class DISecurityCheck:
     """Sampled CHSH estimation over a collection of (possibly noisy) EPR pairs.
@@ -135,32 +150,15 @@ class DISecurityCheck:
     ----------
     settings:
         The :class:`CHSHSettings` to use; defaults to the paper's settings.
-    memoize:
-        If True (default), branch statistics — Alice's outcome probability
-        and Bob's conditional outcome probabilities — are computed once per
-        distinct (pair state, setting pair) and reused.  A protocol session
-        measures hundreds of *identical* Bell-pair states, so this
-        collapses the dominant per-session cost (an eigendecomposition and
-        two projector applications per pair) to a handful of evaluations.
-        The cached statistics are produced by the same
-        :func:`~repro.quantum.measurement.observable_branches` code the
-        reference path runs and the per-pair RNG consumption is unchanged
-        (two uniform draws), so memoised estimates are bit-identical to
-        ``memoize=False`` — asserted by
-        ``tests/protocol/test_memoization_parity.py``.
-    shared_branch_cache:
-        Optional externally owned cache used instead of the per-call one
-        when ``memoize`` is enabled.  A batch of sessions measuring the same
-        pair states (``run_session_batch``, ``BatchBackend``) shares one
-        dict so the branch statistics are computed once per batch rather
-        than once per session; entries are keyed by the full ``(settings,
-        alice setting, bob setting, state bytes)`` tuple, so checks with
-        different settings can safely share one cache.
+
+    Branch statistics are looked up in a module-level table keyed by pair
+    content, and every pair consumes the same two uniform draws a fresh
+    measurement would, so estimates are bit-identical whatever the table
+    holds — asserted against the per-pair reference measurement by
+    ``tests/protocol/test_memoization_parity.py``.
     """
 
     settings: CHSHSettings = field(default_factory=CHSHSettings)
-    memoize: bool = True
-    shared_branch_cache: "dict[tuple, tuple] | None" = None
 
     def estimate(
         self,
@@ -182,25 +180,15 @@ class DISecurityCheck:
             (j, k): 0 for j in (1, 2) for k in (1, 2)
         }
         counts: dict[tuple[int, int], int] = {(j, k): 0 for j in (1, 2) for k in (1, 2)}
-        branch_cache: dict[tuple, tuple] | None = None
-        if self.memoize:
-            branch_cache = (
-                self.shared_branch_cache
-                if self.shared_branch_cache is not None
-                else {}
-            )
 
         for pair in pairs:
+            if pair.num_qubits != 2:
+                raise ProtocolError("security-check pairs must be two-qubit states")
             alice_setting = self._draw_alice_setting(generator)
             bob_setting = int(generator.integers(1, 3))
-            if branch_cache is None:
-                alice_outcome, bob_outcome = self._measure_pair(
-                    pair, alice_setting, bob_setting, generator
-                )
-            else:
-                alice_outcome, bob_outcome = self._measure_pair_memoized(
-                    pair, alice_setting, bob_setting, generator, branch_cache
-                )
+            alice_outcome, bob_outcome = self._sample_pair(
+                pair, alice_setting, bob_setting, generator
+            )
             if alice_setting == 0:
                 continue  # A0 rounds are not part of the CHSH combination.
             key = (alice_setting, bob_setting)
@@ -231,54 +219,16 @@ class DISecurityCheck:
             return int(generator.integers(0, 3))
         return int(generator.integers(1, 3))
 
-    def _measure_pair(
+    def _sample_pair(
         self,
         pair: "Statevector | DensityMatrix",
         alice_setting: int,
         bob_setting: int,
         generator,
     ) -> tuple[int, int]:
-        if pair.num_qubits != 2:
-            raise ProtocolError("security-check pairs must be two-qubit states")
-        alice_angle = self.settings.alice_angles[alice_setting]
-        bob_angle = self.settings.bob_angles[bob_setting - 1]
-        alice_observable = equatorial_observable(alice_angle)
-        bob_observable = equatorial_observable(
-            bob_angle, conjugate=self.settings.conjugate_bob
-        )
-        alice_outcome, post = measure_observable(pair, alice_observable, [0], rng=generator)
-        bob_outcome, _ = measure_observable(post, bob_observable, [1], rng=generator)
-        return alice_outcome, bob_outcome
-
-    @staticmethod
-    def _state_key(pair: "Statevector | DensityMatrix") -> tuple:
-        if isinstance(pair, DensityMatrix):
-            return ("dm", pair.matrix.tobytes())
-        return ("sv", pair.vector.tobytes())
-
-    def _measure_pair_memoized(
-        self,
-        pair: "Statevector | DensityMatrix",
-        alice_setting: int,
-        bob_setting: int,
-        generator,
-        branch_cache: dict[tuple, tuple],
-    ) -> tuple[int, int]:
-        """Measure one pair using per-state cached branch statistics.
-
-        The cache maps ``(settings, alice setting, bob setting, state
-        bytes)`` to ``(p_alice_plus, p_bob_plus | alice=+1, p_bob_plus |
-        alice=−1)``, computed on first sight by exactly the operations the
-        reference ``_measure_pair`` performs — so subsequent pairs sharing
-        the state draw from bit-identical floats with the same two uniform
-        draws.  The settings component makes the key safe for caches shared
-        across checks (``shared_branch_cache``).  ``None`` marks a
-        zero-probability branch (only an error if drawn).
-        """
-        if pair.num_qubits != 2:
-            raise ProtocolError("security-check pairs must be two-qubit states")
-        key = (self.settings, alice_setting, bob_setting, self._state_key(pair))
-        entry = branch_cache.get(key)
+        """Alice's then Bob's ±1 outcome on one pair, two uniform draws."""
+        key = (self.settings, alice_setting, bob_setting, state_key(pair))
+        entry = _BRANCH_CACHE.get(key)
         if entry is None:
             alice_observable = equatorial_observable(
                 self.settings.alice_angles[alice_setting]
@@ -295,7 +245,10 @@ class DISecurityCheck:
                 for post in (post_plus, post_minus)
             ]
             entry = (p_alice, conditionals[0], conditionals[1])
-            branch_cache[key] = entry
+            with _BRANCH_CACHE_LOCK:
+                if len(_BRANCH_CACHE) >= _BRANCH_CACHE_MAX:
+                    _BRANCH_CACHE.clear()
+                _BRANCH_CACHE[key] = entry
 
         p_alice, p_bob_plus, p_bob_minus = entry
         alice_outcome = 1 if generator.random() < p_alice else -1

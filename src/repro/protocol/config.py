@@ -9,6 +9,7 @@ configuration with the paper's parameters for a given message length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.channel.quantum_channel import IdentityChainChannel, QuantumChannel
@@ -56,8 +57,7 @@ class ProtocolConfig:
     source:
         The entanglement source (default: ideal ``|Φ+⟩`` source).
     memory_decoherence:
-        Optional single-qubit Kraus channel applied (via
-        :class:`~repro.channel.memory.QuantumMemory`) to Alice's stored halves
+        Optional single-qubit Kraus channel applied to Alice's stored halves
         once per unit of hold time between the first DI security check and
         the encoding step.  ``None`` models the paper's ideal memory.
     memory_hold_time:
@@ -195,8 +195,8 @@ class ProtocolConfig:
             raise ConfigurationError("authentication_tolerance must lie in [0, 1)")
         if not 0.0 <= self.check_bit_tolerance < 1.0:
             raise ConfigurationError("check_bit_tolerance must lie in [0, 1)")
-        if self.memory_hold_time < 0:
-            raise ConfigurationError("memory_hold_time cannot be negative")
+        if not 0.0 <= self.memory_hold_time < math.inf:
+            raise ConfigurationError("memory_hold_time must be finite and non-negative")
         if self.memory_decoherence is not None and self.memory_decoherence.num_qubits != 1:
             raise ConfigurationError("memory_decoherence must be a single-qubit channel")
         if self.alice_identity is not None and self.alice_identity.num_pairs != self.identity_pairs:

@@ -27,11 +27,7 @@ from repro.protocol.encoding import (
 from repro.protocol.identity import Identity
 from repro.quantum.bell import BellState
 from repro.quantum.density import DensityMatrix
-from repro.quantum.measurement import (
-    bell_basis_probability_vector,
-    bell_measurement,
-    sample_bell_outcome,
-)
+from repro.quantum.measurement import bell_measurement
 from repro.utils.bits import Bits
 from repro.utils.rng import as_rng
 
@@ -154,27 +150,19 @@ class Alice:
 class Bob:
     """The receiver: encodes his identity, measures Bell states, decodes the message.
 
-    ``memoize`` (default True) caches the Bell-outcome probability vector per
-    distinct pair state during :meth:`bell_measure`: the pairs of one session
-    carry only a handful of distinct states (four Pauli encodings of one
-    channel output), so the Bell-basis projections collapse to a few
-    evaluations.  Sampling consumes the same single draw per pair from the
-    same floats, so outcomes are bit-identical to the unmemoised reference
-    path (``memoize=False``).
-
-    ``shared_probability_cache`` optionally replaces the per-call cache with
-    an externally owned dict so a batch of sessions (``run_session_batch``,
-    ``BatchBackend``) computes each distinct state's Bell-outcome
-    probability vector once per batch.  The key — the state's matrix bytes —
-    is configuration-independent, so sharing across sessions with different
-    identities or seeds is exact.
+    Attributes
+    ----------
+    identity:
+        Bob's own secret ``id_B``.
+    peer_identity:
+        Alice's secret ``id_A`` (pre-shared with Bob so he can verify her).
+    rng:
+        Seeded generator for Bob's Bell-measurement draws.
     """
 
     identity: Identity
     peer_identity: Identity
     rng: object = None
-    memoize: bool = True
-    shared_probability_cache: "dict[bytes, object] | None" = None
 
     def __post_init__(self):
         self.rng = as_rng(self.rng)
@@ -210,28 +198,10 @@ class Bob:
     ) -> dict[int, BellState]:
         """Bell-state measurement of the listed pairs (one shot per pair)."""
         outcomes: dict[int, BellState] = {}
-        probability_cache: dict[bytes, object] | None = None
-        if self.memoize:
-            probability_cache = (
-                self.shared_probability_cache
-                if self.shared_probability_cache is not None
-                else {}
-            )
         for position in positions:
             if position not in pairs:
                 raise ProtocolError(f"no pair at position {position}")
-            state = pairs[position]
-            if probability_cache is None:
-                result = bell_measurement(state, [ALICE_QUBIT, BOB_QUBIT], rng=self.rng)
-            else:
-                key = state.matrix.tobytes()
-                probabilities = probability_cache.get(key)
-                if probabilities is None:
-                    probabilities = bell_basis_probability_vector(
-                        state, [ALICE_QUBIT, BOB_QUBIT]
-                    )
-                    probability_cache[key] = probabilities
-                result = sample_bell_outcome(probabilities, rng=self.rng)
+            result = bell_measurement(pairs[position], [ALICE_QUBIT, BOB_QUBIT], rng=self.rng)
             outcomes[position] = result.bell_state
         return outcomes
 

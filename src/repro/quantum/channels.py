@@ -37,6 +37,7 @@ __all__ = [
     "amplitude_damping_channel",
     "phase_damping_channel",
     "thermal_relaxation_channel",
+    "check_relaxation_times",
 ]
 
 _ATOL = 1e-8
@@ -262,6 +263,20 @@ def phase_damping_channel(lambda_pd: float) -> KrausChannel:
     return KrausChannel([k0, k1], name=f"phase_damping(lambda={lam:.4g})")
 
 
+def check_relaxation_times(t1: float, t2: float, gate_time: float) -> None:
+    """Raise :class:`NoiseModelError` unless *t1*, *t2*, *gate_time* are physical.
+
+    ``T1`` and ``T2`` must be positive with ``T2 <= 2*T1``, and the evolution
+    time non-negative.  NaN fails every check.
+    """
+    if not (t1 > 0 and t2 > 0):
+        raise NoiseModelError("T1 and T2 must be positive")
+    if not gate_time >= 0:
+        raise NoiseModelError("gate_time must be non-negative")
+    if t2 > 2 * t1 + 1e-12:
+        raise NoiseModelError(f"unphysical relaxation times: T2={t2} > 2*T1={2 * t1}")
+
+
 def thermal_relaxation_channel(
     t1: float, t2: float, gate_time: float, excited_state_population: float = 0.0
 ) -> KrausChannel:
@@ -273,12 +288,7 @@ def thermal_relaxation_channel(
     *excited_state_population* mixes in the inverted amplitude-damping channel
     to model a finite-temperature environment.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise NoiseModelError("T1 and T2 must be positive")
-    if gate_time < 0:
-        raise NoiseModelError("gate_time must be non-negative")
-    if t2 > 2 * t1 + 1e-12:
-        raise NoiseModelError(f"unphysical relaxation times: T2={t2} > 2*T1={2 * t1}")
+    check_relaxation_times(t1, t2, gate_time)
     p_excited = _check_probability(excited_state_population, "excited_state_population")
 
     gamma = 1.0 - math.exp(-gate_time / t1)

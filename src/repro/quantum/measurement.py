@@ -13,6 +13,7 @@ Three measurement primitives drive the protocol:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -32,10 +33,9 @@ __all__ = [
     "measure_observable",
     "observable_branches",
     "observable_probability",
+    "state_key",
     "bell_measurement",
     "bell_measurement_probabilities",
-    "bell_basis_probability_vector",
-    "sample_bell_outcome",
     "bell_measurement_counts",
     "BELL_BITS_TO_STATE",
     "BELL_STATE_TO_BITS",
@@ -182,10 +182,10 @@ def observable_branches(
 
     Returns ``(prob_plus, post_plus, post_minus)``; a zero-probability
     branch's post state is ``None``.  :func:`measure_observable` is exactly
-    this followed by one uniform draw, and the CHSH fast path caches these
-    branch statistics per distinct pair state — both paths therefore consume
-    identical floats and identical RNG draws, which is what keeps memoised
-    and reference sessions bit-identical.
+    this followed by one uniform draw, and the DI security check caches these
+    branch statistics per distinct pair state — both consume identical floats
+    and identical RNG draws, which is what keeps cached estimates
+    bit-identical to measuring each pair afresh.
     """
     op = observable if isinstance(observable, Operator) else Operator(observable)
     projector_plus, projector_minus = _embedded_projectors(
@@ -232,7 +232,7 @@ def observable_probability(
 
     The same float :func:`observable_branches` and :func:`measure_observable`
     compute, without materialising either post-measurement state — for
-    callers (e.g. the CHSH memoisation) that only need the statistic.
+    callers (e.g. the CHSH branch cache) that only need the statistic.
     """
     op = observable if isinstance(observable, Operator) else Operator(observable)
     projector_plus, _ = _embedded_projectors(
@@ -307,6 +307,29 @@ BELL_OUTCOME_ORDER = (
 )
 
 
+def state_key(state: "Statevector | DensityMatrix") -> tuple:
+    """Hashable content key of a state: its type, array shape and raw bytes.
+
+    Equal keys mean bit-identical amplitudes (or matrix entries), so any
+    pure function of the state may be memoised under this key.
+    """
+    array = state.vector if isinstance(state, Statevector) else state.matrix
+    return (type(state).__name__, array.shape, array.tobytes())
+
+
+#: Bounded memo of Bell-outcome probability vectors keyed by
+#: ``(state_key(state), qubit pair)``.  A protocol session Bell-measures
+#: hundreds of pairs that carry only a handful of distinct states (the Pauli
+#: encodings of one channel output), so the four projections run once per
+#: distinct state.  Every session and worker thread shares the cached arrays,
+#: so they are read-only; equal keys produce the identical vector the
+#: uncached code would recompute, so sampling stays bit-identical.  Inserts
+#: hold the lock so concurrent misses cannot push the table past its bound.
+_BELL_CACHE: dict[tuple, np.ndarray] = {}
+_BELL_CACHE_MAX = 1024
+_BELL_CACHE_LOCK = threading.Lock()
+
+
 def _bell_basis_probabilities(
     state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
 ) -> np.ndarray:
@@ -323,33 +346,6 @@ def _bell_basis_probabilities(
     if total <= 0:
         raise NonPhysicalStateError("state has no support on the Bell basis")
     return probs / total
-
-
-def bell_basis_probability_vector(
-    state: "Statevector | DensityMatrix", qubit_pair: Sequence[int]
-) -> np.ndarray:
-    """The four Bell-outcome probabilities, ordered as :data:`BELL_OUTCOME_ORDER`.
-
-    Public variant of the internal helper so callers (e.g. Bob's memoised
-    Bell-measurement loop) can compute the vector once per distinct pair
-    state and sample many outcomes from it via :func:`sample_bell_outcome`.
-    """
-    return _bell_basis_probabilities(state, qubit_pair)
-
-
-def sample_bell_outcome(
-    probabilities: np.ndarray, rng=None
-) -> BellMeasurementResult:
-    """Draw one Bell outcome from a precomputed probability vector.
-
-    Consumes exactly one ``Generator.choice`` draw — the same consumption as
-    :func:`bell_measurement`, so sampling from a cached vector is
-    bit-identical to measuring the state afresh.
-    """
-    generator = as_rng(rng)
-    index = int(generator.choice(4, p=probabilities))
-    which = BELL_OUTCOME_ORDER[index]
-    return BellMeasurementResult(bell_state=which, bits=BELL_STATE_TO_BITS[which])
 
 
 def bell_measurement_probabilities(
@@ -374,8 +370,17 @@ def bell_measurement(
     """
     if len(qubit_pair) != 2:
         raise DimensionError("Bell-state measurement requires exactly two qubits")
-    probs = _bell_basis_probabilities(state, qubit_pair)
-    return sample_bell_outcome(probs, rng=rng)
+    key = (state_key(state), tuple(int(q) for q in qubit_pair))
+    probs = _BELL_CACHE.get(key)
+    if probs is None:
+        probs = _bell_basis_probabilities(state, qubit_pair)
+        probs.setflags(write=False)
+        with _BELL_CACHE_LOCK:
+            if len(_BELL_CACHE) >= _BELL_CACHE_MAX:
+                _BELL_CACHE.clear()
+            _BELL_CACHE[key] = probs
+    which = BELL_OUTCOME_ORDER[int(as_rng(rng).choice(4, p=probs))]
+    return BellMeasurementResult(bell_state=which, bits=BELL_STATE_TO_BITS[which])
 
 
 def bell_measurement_counts(

@@ -92,6 +92,48 @@ class TestIdentityChainChannel:
             IdentityChainChannel(eta=1, gate_duration=-1e-9)
 
 
+class TestBuildTimeValidation:
+    """Bad channel parameters fail when the channel is built, not mid-session."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gate_duration": float("nan")},
+            {"gate_duration": math.inf},
+            {"t1": -1.0},
+            {"t2": 0.0},
+            {"t1": float("nan")},
+            {"t1": 1e-4, "t2": 5e-4},
+        ],
+        ids=["nan-duration", "inf-duration", "negative-t1", "zero-t2", "nan-t1", "t2-above-2t1"],
+    )
+    def test_identity_chain_rejects(self, kwargs):
+        with pytest.raises(ChannelError):
+            IdentityChainChannel(eta=10, **kwargs)
+
+    def test_relaxation_times_unchecked_without_relaxation(self):
+        channel = IdentityChainChannel(
+            eta=10, t1=1e-4, t2=5e-4, include_thermal_relaxation=False
+        )
+        assert channel.single_use_channel().num_qubits == 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"speed_km_per_s": 0.0},
+            {"speed_km_per_s": -2e5},
+            {"speed_km_per_s": float("nan")},
+            {"speed_km_per_s": math.inf},
+            {"length_km": float("nan")},
+            {"attenuation_db_per_km": float("nan")},
+        ],
+        ids=["zero-speed", "negative-speed", "nan-speed", "inf-speed", "nan-length", "nan-attenuation"],
+    )
+    def test_fiber_rejects(self, kwargs):
+        with pytest.raises(ChannelError):
+            FiberLossChannel(**kwargs)
+
+
 class TestFiberLossChannel:
     def test_transmission_probability(self):
         channel = FiberLossChannel(length_km=50, attenuation_db_per_km=0.2)

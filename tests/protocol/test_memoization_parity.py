@@ -1,14 +1,18 @@
-"""Parity tests for the protocol's memoised pair-state engines.
+"""Parity tests for the protocol's memoised measurement statistics.
 
-Every session runs the fast path (memoised CHSH branch statistics, memoised
-Bell-measurement distributions, shared source emissions).  It must be
-*bit-identical* to the unmemoised reference — ``Bob(memoize=False)`` and
-``DISecurityCheck(memoize=False)`` swapped into the runner — with identical
-results and identical RNG consumption, for honest and attacked sessions,
-fused batches and networked deliveries alike.
+Every session looks its CHSH branch statistics and Bell-outcome probability
+vectors up in module-level tables keyed by pair content.  It must be
+*bit-identical* to the per-pair oracle of
+``tests/protocol/reference_measurement.py`` swapped into the runner — with
+identical results and identical RNG consumption, for honest and attacked
+sessions, cold and warm tables, threaded waves and networked deliveries
+alike.
 """
 
-from dataclasses import dataclass, fields
+import inspect
+import sys
+import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ import pytest
 from repro.api.config import ServiceConfig
 from repro.attacks.intercept_resend import InterceptResendAttack
 from repro.channel.quantum_channel import NoiselessChannel
-from repro.protocol import runner
+from repro.protocol import chsh, runner
 from repro.protocol.chsh import DISecurityCheck
 from repro.network.sessions import SessionParameters
 from repro.protocol.config import ProtocolConfig
@@ -24,26 +28,29 @@ from repro.protocol.identity import Identity
 from repro.protocol.parties import Bob
 from repro.protocol.runner import UADIQSDCProtocol
 from repro.protocol.source import EntanglementSource
+from repro.quantum import measurement
 from repro.quantum.bell import BellState, bell_state
 from repro.quantum.channels import depolarizing_channel
+from repro.quantum.density import DensityMatrix
 
-
-@dataclass
-class _ReferenceBob(Bob):
-    memoize: bool = False
-
-
-@dataclass
-class _ReferenceCheck(DISecurityCheck):
-    memoize: bool = False
+from tests.protocol.reference_measurement import (
+    ReferenceBob,
+    ReferenceCheck,
+    reference_bell_measure,
+)
 
 
 def _reference(run):
-    """Call *run* with the runner's Bob and security check unmemoised."""
+    """Call *run* with the runner's Bob and security check measuring every pair afresh."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(runner, "Bob", _ReferenceBob)
-        patch.setattr(runner, "DISecurityCheck", _ReferenceCheck)
+        patch.setattr(runner, "Bob", ReferenceBob)
+        patch.setattr(runner, "DISecurityCheck", ReferenceCheck)
         return run()
+
+
+def _clear_tables():
+    measurement._BELL_CACHE.clear()
+    chsh._BRANCH_CACHE.clear()
 
 
 def _session_fingerprint(result):
@@ -85,16 +92,14 @@ class TestFastPathParity:
         reference = _reference(lambda: UADIQSDCProtocol(config).run(message))
         assert _session_fingerprint(fast) == _session_fingerprint(reference)
 
-    def test_reference_seam_disables_memoisation(self):
-        from repro.protocol.runner import SessionCaches
-
+    def test_reference_seam_bypasses_tables(self):
         message = "01010101"
         config = ProtocolConfig.default(len(message), seed=0)
-        caches = SessionCaches()
-        _reference(lambda: UADIQSDCProtocol(config, caches=caches).run(message))
-        assert not caches.chsh_branches and not caches.bell_probabilities
-        UADIQSDCProtocol(config, caches=caches).run(message)
-        assert caches.chsh_branches and caches.bell_probabilities
+        _clear_tables()
+        _reference(lambda: UADIQSDCProtocol(config).run(message))
+        assert not chsh._BRANCH_CACHE and not measurement._BELL_CACHE
+        UADIQSDCProtocol(config).run(message)
+        assert chsh._BRANCH_CACHE and measurement._BELL_CACHE
 
 
 class TestNoSessionEngineKnob:
@@ -112,6 +117,22 @@ class TestNoSessionEngineKnob:
     def test_service_description_names_no_engine(self):
         assert "simulator_backend" not in ServiceConfig.paper_default(seed=0).describe()
 
+    def test_parties_and_check_carry_no_cache_fields(self):
+        assert {field.name for field in fields(Bob)} == {
+            "identity",
+            "peer_identity",
+            "rng",
+        }
+        assert {field.name for field in fields(DISecurityCheck)} == {"settings"}
+
+    def test_protocol_takes_no_caches(self):
+        parameters = inspect.signature(UADIQSDCProtocol.__init__).parameters
+        assert list(parameters) == ["self", "config", "attack"]
+
+    @pytest.mark.parametrize("name", ["SessionCaches", "run_session_batch"])
+    def test_runner_has_no_session_batch_plumbing(self, name):
+        assert not hasattr(runner, name)
+
 
 class TestDISecurityCheckMemoization:
     def _pairs(self, count=64):
@@ -123,10 +144,8 @@ class TestDISecurityCheckMemoization:
 
     def test_memoized_estimate_bit_identical_to_reference(self):
         pairs = self._pairs()
-        memoized = DISecurityCheck(memoize=True).estimate(
-            pairs, rng=np.random.default_rng(42)
-        )
-        reference = DISecurityCheck(memoize=False).estimate(
+        memoized = DISecurityCheck().estimate(pairs, rng=np.random.default_rng(42))
+        reference = ReferenceCheck().estimate(
             pairs, rng=np.random.default_rng(42)
         )
         assert memoized.value == reference.value
@@ -137,25 +156,35 @@ class TestDISecurityCheckMemoization:
         pairs = self._pairs(32)
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        DISecurityCheck(memoize=True).estimate(pairs, rng=rng_a)
-        DISecurityCheck(memoize=False).estimate(pairs, rng=rng_b)
+        DISecurityCheck().estimate(pairs, rng=rng_a)
+        ReferenceCheck().estimate(pairs, rng=rng_b)
         assert rng_a.integers(0, 2**31) == rng_b.integers(0, 2**31)
 
 
 class TestBobMemoization:
-    def _bob(self, memoize, seed=4):
+    def _bob(self, bob_class, seed=4):
         identity = Identity.random(2, owner="bob", rng=np.random.default_rng(0))
         peer = Identity.random(2, owner="alice", rng=np.random.default_rng(1))
-        return Bob(identity=identity, peer_identity=peer, rng=seed, memoize=memoize)
+        return bob_class(identity=identity, peer_identity=peer, rng=seed)
 
     def test_bell_measure_bit_identical(self):
         pairs = {
             index: bell_state(BellState.PHI_PLUS).density_matrix()
             for index in range(48)
         }
-        fast = self._bob(True).bell_measure(pairs, tuple(pairs))
-        reference = self._bob(False).bell_measure(pairs, tuple(pairs))
+        fast = self._bob(Bob).bell_measure(pairs, tuple(pairs))
+        reference = self._bob(ReferenceBob).bell_measure(pairs, tuple(pairs))
         assert fast == reference
+
+    def test_noisy_bell_measure_bit_identical(self):
+        noisy = depolarizing_channel(0.2).apply(
+            bell_state(BellState.PSI_MINUS).density_matrix(), [0]
+        )
+        pairs = {index: noisy for index in range(64)}
+        fast = self._bob(Bob, seed=8).bell_measure(pairs, tuple(pairs))
+        reference = self._bob(ReferenceBob, seed=8).bell_measure(pairs, tuple(pairs))
+        assert fast == reference
+        assert len(set(fast.values())) > 1
 
 
 class TestNetworkedDeliveryParity:
@@ -245,56 +274,121 @@ class TestSourceEmissionSharing:
         assert np.array_equal(shared.matrix, single.matrix)
 
 
-class TestSessionBatchFusion:
-    """Cross-session cache sharing must be invisible in the results.
+class TestMeasurementTables:
+    """The module-level tables are invisible in results and stay bounded."""
 
-    ``run_session_batch`` threads one :class:`SessionCaches` through every
-    fast-path session; the caches memoize only configuration-keyed pure
-    measurement statistics, so fused sessions are bit-identical to solo runs.
-    """
-
-    def _sessions(self, seeds, message="0110" * 4):
+    @staticmethod
+    def _distinct_pairs(count):
+        phi_plus = bell_state(BellState.PHI_PLUS).density_matrix().matrix
         return [
-            (ProtocolConfig.default(len(message), seed=seed), None, message)
-            for seed in seeds
+            DensityMatrix(
+                (1 - p) * phi_plus + p * np.eye(4) / 4, validate=False
+            )
+            for p in np.linspace(0.0, 0.5, count)
         ]
 
-    def test_fused_batch_bit_identical_to_solo_sessions(self):
-        from repro.protocol.runner import run_session_batch
-
-        seeds = [0, 1, 7, 11, 2024]
+    def test_cold_tables_match_warm_tables(self):
         message = "0110" * 4
-        solo = [
-            UADIQSDCProtocol(config).run(msg)
-            for config, _attack, msg in self._sessions(seeds, message)
+        configs = [
+            ProtocolConfig.default(len(message), seed=seed, eta=eta)
+            for seed, eta in [(0, 10), (1, 10), (7, 50), (2024, 10)]
         ]
-        fused = run_session_batch(self._sessions(seeds, message))
-        reference = _reference(
-            lambda: run_session_batch(self._sessions(seeds, message))
+        cold = []
+        for config in configs:
+            _clear_tables()
+            cold.append(UADIQSDCProtocol(config).run(message))
+        warm = [UADIQSDCProtocol(config).run(message) for config in configs]
+        assert [_session_fingerprint(r) for r in cold] == [
+            _session_fingerprint(r) for r in warm
+        ]
+
+    def test_thread_batch_wave_matches_local(self):
+        from repro.api.service import MessagingService
+
+        config = ServiceConfig.paper_default(seed=3).with_fragment_bits(8)
+        _clear_tables()
+        threaded = MessagingService(
+            config.with_backend("batch").with_executor("thread", max_workers=2)
+        ).send("wave", kind="text")
+        _clear_tables()
+        local = MessagingService(config).send("wave", kind="text")
+        assert [f.summary() for f in threaded.fragments] == [
+            f.summary() for f in local.fragments
+        ]
+
+    def test_bell_table_stays_bounded(self):
+        _clear_tables()
+        rng = np.random.default_rng(0)
+        for pair in self._distinct_pairs(measurement._BELL_CACHE_MAX + 5):
+            measurement.bell_measurement(pair, [0, 1], rng=rng)
+        assert 0 < len(measurement._BELL_CACHE) <= measurement._BELL_CACHE_MAX
+
+    def test_branch_table_stays_bounded(self):
+        _clear_tables()
+        DISecurityCheck().estimate(
+            self._distinct_pairs(chsh._BRANCH_CACHE_MAX + 5),
+            rng=np.random.default_rng(0),
         )
-        assert [_session_fingerprint(r) for r in fused] == [
-            _session_fingerprint(r) for r in solo
-        ]
-        assert [_session_fingerprint(r) for r in fused] == [
-            _session_fingerprint(r) for r in reference
-        ]
+        assert 0 < len(chsh._BRANCH_CACHE) <= chsh._BRANCH_CACHE_MAX
 
-    def test_fused_attacked_batch_bit_identical(self):
-        from repro.protocol.runner import run_session_batch
+    def test_concurrent_misses_keep_bounds_and_results(self):
+        class PeakDict(dict):
+            """A table that remembers the most entries it ever held."""
 
-        message = "10" * 8
-        config = ProtocolConfig.default(len(message), seed=11)
-        solo = UADIQSDCProtocol(config, attack=InterceptResendAttack()).run(message)
-        fused = run_session_batch(
-            [(config, InterceptResendAttack(), message)] * 3
-        )
-        for result in fused:
-            assert _session_fingerprint(result) == _session_fingerprint(solo)
+            peak = 0
 
-    def test_shared_caches_populate_across_sessions(self):
-        from repro.protocol.runner import SessionCaches, run_session_batch
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.peak = max(self.peak, len(self))
 
-        caches = SessionCaches()
-        run_session_batch(self._sessions([0, 1]), caches=caches)
-        assert caches.chsh_branches  # CHSH branch statistics were shared
-        assert caches.bell_probabilities  # Bob's Bell distributions were shared
+        pairs = self._distinct_pairs(chsh._BRANCH_CACHE_MAX + 100)
+        positions = tuple(range(len(pairs)))
+        seeds = range(4)  # more threads than cores
+        expected = {
+            seed: (
+                reference_bell_measure(
+                    dict(enumerate(pairs)), positions, np.random.default_rng(seed)
+                ),
+                ReferenceCheck().estimate(pairs, rng=np.random.default_rng(seed)).value,
+            )
+            for seed in seeds
+        }
+        results = {}
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            bell = {
+                position: measurement.bell_measurement(
+                    pairs[position], [0, 1], rng=rng
+                ).bell_state
+                for position in positions
+            }
+            estimate = DISecurityCheck().estimate(pairs, rng=np.random.default_rng(seed))
+            results[seed] = (bell, estimate.value)
+
+        bell_table, branch_table = PeakDict(), PeakDict()
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measurement, "_BELL_CACHE", bell_table)
+            patch.setattr(chsh, "_BRANCH_CACHE", branch_table)
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert bell_table.peak <= measurement._BELL_CACHE_MAX
+        assert branch_table.peak <= chsh._BRANCH_CACHE_MAX
+
+    def test_cached_bell_vector_is_read_only(self):
+        _clear_tables()
+        pair = bell_state(BellState.PHI_PLUS).density_matrix()
+        measurement.bell_measurement(pair, [0, 1], rng=np.random.default_rng(0))
+        (vector,) = measurement._BELL_CACHE.values()
+        with pytest.raises(ValueError):
+            vector[0] = 0.5

@@ -87,6 +87,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             _config(decoherence=None, hold=-1.0).validate()
 
+    @pytest.mark.parametrize("hold", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_hold_rejected(self, hold):
+        with pytest.raises(ConfigurationError):
+            _config(decoherence=depolarizing_channel(0.1), hold=hold).validate()
+
     def test_multi_qubit_decoherence_rejected(self):
         with pytest.raises(ConfigurationError):
             _config(
